@@ -4,7 +4,7 @@
 Times the three numeric-phase operations — ``factorize`` (cold),
 ``refactorize`` (warm pattern), and ``solve`` (single vector and a
 32-column panel) — on two suite matrices, comparing the blocked
-level-scheduled engine against a faithful re-implementation of the
+engine against a faithful re-implementation of the
 pre-engine baseline (COO-round-trip permutation, per-entry Python front
 assembly, per-pivot dense kernels with full trailing updates).
 
@@ -212,17 +212,16 @@ def bench_matrix(name: str, kind: str, scale: float, repeats: int) -> dict:
             "speedups": speedups, "max_factor_rel_err": err}
 
 
-def bench_schedulers(schedulers: list[str], workers: int, scale: float,
-                     repeats: int, history_dir: str | None) -> dict:
-    """Sweep the numeric-phase schedulers on a wide-but-uneven tree.
+def bench_dag_sweep(workers: int, scale: float, repeats: int,
+                    history_dir: str | None) -> dict:
+    """Time the serial numeric phase against the DAG dispatcher.
 
-    ``power_law_spd`` produces the profile the DAG scheduler targets:
-    many runnable supernodes per level with skewed sizes, so the level
-    barrier serializes on its slowest member.  Records
-    ``numeric.speedup.{dag,procs}`` (warm refactorize vs the level
-    baseline) plus each scheduler's idle-seconds attribution; with
-    ``history_dir`` set, appends a run artifact to the history store so
-    the trend gate watches the speedups.
+    ``power_law_spd`` produces the profile the DAG dispatcher targets:
+    many runnable supernodes per level with skewed sizes.  Records
+    ``numeric.speedup.dag`` (warm refactorize, serial time over DAG
+    time at ``workers`` threads) plus the DAG run's idle-seconds
+    attribution; with ``history_dir`` set, appends a run artifact to the
+    history store so the trend gate watches the speedup.
     """
     from repro.numeric.cholesky import multifrontal_cholesky
     from repro.numeric.engine import last_factor_attribution
@@ -236,58 +235,49 @@ def bench_schedulers(schedulers: list[str], workers: int, scale: float,
     # Warm the pattern cache so the sweep times pure numeric work.
     multifrontal_cholesky(matrix, symbolic, workers=1)
     widths = [len(lvl) for lvl in symbolic._numeric_ctx.levels]
-    print(f"== scheduler sweep [power_law_spd n={n}] workers={workers}: "
+    print(f"== serial vs DAG [power_law_spd n={n}] workers={workers}: "
           f"{symbolic.n_supernodes} supernodes, {len(widths)} levels, "
           f"max width {max(widths)}")
 
     sweep: dict[str, dict] = {}
-    for sched in schedulers:
+    for label, w in (("serial", 1), ("dag", workers)):
         seconds = _best_of(
-            lambda: multifrontal_cholesky(
-                matrix, symbolic, workers=workers, scheduler=sched),
+            lambda: multifrontal_cholesky(matrix, symbolic, workers=w),
             repeats,
         )
         att = last_factor_attribution() or {}
         schedule = att.get("schedule", {})
-        sweep[sched] = {
+        sweep[label] = {
+            "workers": w,
             "seconds": seconds,
             "idle_s": schedule.get("idle_s", 0.0),
             "dispatch_latency_ms":
                 schedule.get("dispatch_latency_ms", {}).get("mean", 0.0),
             "ready_depth_mean":
                 schedule.get("ready_depth", {}).get("mean", 0.0),
-            "n_subtrees": schedule.get("n_subtrees", 0),
             "attribution": att,
         }
 
-    base = sweep.get("level", {}).get("seconds")
-    metrics: dict[str, float] = {}
-    reg = global_registry()
-    for sched, rec in sweep.items():
-        if base and sched != "level":
-            speedup = base / rec["seconds"]
-            rec["speedup_vs_level"] = speedup
-            metrics[f"numeric.speedup.{sched}"] = speedup
-            reg.gauge(f"numeric.speedup.{sched}").set(speedup)
-        idle = rec["idle_s"]
-        print(f"  {sched:<8}{rec['seconds'] * 1e3:>10.1f} ms  "
-              f"idle {idle * 1e3:8.1f} ms"
-              + (f"  {rec['speedup_vs_level']:.2f}x vs level"
-                 if "speedup_vs_level" in rec else "  (baseline)"))
+    speedup = sweep["serial"]["seconds"] / sweep["dag"]["seconds"]
+    metrics = {"numeric.speedup.dag": speedup}
+    global_registry().gauge("numeric.speedup.dag").set(speedup)
+    for label, rec in sweep.items():
+        print(f"  {label:<8}{rec['seconds'] * 1e3:>10.1f} ms  "
+              f"idle {rec['idle_s'] * 1e3:8.1f} ms")
+    print(f"  DAG/{workers} vs serial: {speedup:.2f}x")
 
     result = {"matrix": f"power_law_spd:{n}", "workers": workers,
-              "schedulers": sweep, "metrics": metrics}
+              "runs": sweep, "metrics": metrics}
     if history_dir:
         artifact = RunArtifact(
             matrix=f"power_law_spd:{n}", kind="cholesky", n=n,
-            config={"bench": "scheduler_sweep", "workers": workers,
+            config={"bench": "dag_sweep", "workers": workers,
                     "scale": scale},
             report={},
             metrics={**metrics,
-                     **{f"numeric.sched.{s}.idle_s": r["idle_s"]
-                        for s, r in sweep.items()}},
+                     "numeric.sched.idle_s": sweep["dag"]["idle_s"]},
             attribution={"numeric_sweep": {
-                s: r["attribution"] for s, r in sweep.items()}},
+                label: r["attribution"] for label, r in sweep.items()}},
             created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
         )
         entry = HistoryStore(history_dir).add(artifact)
@@ -332,18 +322,15 @@ def main() -> int:
                         help="suite-matrix scale factor")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats (best-of)")
-    parser.add_argument("--scheduler", default=None, metavar="LIST",
-                        help="comma-separated schedulers to sweep "
-                             "(e.g. level,dag,procs); records "
-                             "numeric.speedup.* vs the level baseline")
     parser.add_argument("--sched-workers", type=int, default=4,
-                        help="worker count for the --scheduler sweep")
+                        help="DAG worker count for the --sched-only sweep")
     parser.add_argument("--sched-only", action="store_true",
-                        help="run only the --scheduler sweep, skipping "
-                             "the baseline benches")
+                        help="run only the serial-vs-DAG sweep (records "
+                             "numeric.speedup.dag), skipping the baseline "
+                             "benches")
     parser.add_argument("--history", metavar="DIR", default=None,
-                        help="append the --scheduler sweep artifact to "
-                             "this repro.obs.history store")
+                        help="append the sweep artifact to this "
+                             "repro.obs.history store")
     parser.add_argument("--telemetry-dir", metavar="DIR", default=None,
                         help="record run-scoped telemetry of the bench "
                              "(JSONL streams + merged trace/HTML)")
@@ -370,18 +357,15 @@ def main() -> int:
     # benchmarks Python dispatch overhead rather than the kernels).
     matrices = [("Serena", "cholesky"), ("atmosmodd", "lu")]
     results = {"schema": 1, "matrices": {}, "panel_width": PANEL_WIDTH}
-    if not args.sched_only:
+    if args.sched_only:
+        results["dag_sweep"] = bench_dag_sweep(
+            args.sched_workers, args.scale, args.repeats, args.history)
+    else:
         for name, kind in matrices:
             results["matrices"][name] = bench_matrix(
                 name, kind, args.scale, args.repeats)
         results["cache"] = bench_cache(matrices[0][0], matrices[0][1],
                                        args.scale)
-    if args.scheduler:
-        schedulers = [s.strip() for s in args.scheduler.split(",")
-                      if s.strip()]
-        results["scheduler_sweep"] = bench_schedulers(
-            schedulers, args.sched_workers, args.scale, args.repeats,
-            args.history)
     session.finish()
 
     if results["matrices"]:

@@ -293,13 +293,12 @@ def _solve_load_worker(payload: tuple) -> dict:
     sink and each request is wrapped in a ``solve.request`` task span.
     """
     (spec, kind, ordering_override, tune_store, workers, block_size,
-     scheduler, rhs_pad, requests, seed) = payload
+     rhs_pad, requests, seed) = payload
     matrix, default_kind, ordering = load_matrix(spec)
     solver = SparseSolver(matrix, kind=kind or default_kind,
                           ordering=ordering_override or ordering,
                           tune_store=tune_store, workers=workers,
-                          block_size=block_size, scheduler=scheduler,
-                          rhs_pad=rhs_pad)
+                          block_size=block_size, rhs_pad=rhs_pad)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(matrix.n_rows)
     x = solver.solve(b)
@@ -330,7 +329,7 @@ def _run_solve_load(args, kind: str) -> None:
     requests = max(1, args.repeat)
     payloads = [
         (args.matrix, kind, args.ordering, args.tune_store, args.workers,
-         args.block_size, args.scheduler, args.rhs_pad, requests,
+         args.block_size, args.rhs_pad, requests,
          args.seed + i)
         for i in range(args.procs)
     ]
@@ -391,7 +390,6 @@ def cmd_solve(args) -> int:
                                   tune_store=args.tune_store,
                                   workers=args.workers,
                                   block_size=args.block_size,
-                                  scheduler=args.scheduler,
                                   rhs_pad=args.rhs_pad)
             if ordering == "auto":
                 print(f"ordering auto -> {solver.ordering}")
@@ -478,7 +476,6 @@ def cmd_solve(args) -> int:
                     "ordering": ordering,
                     "workers": eff_workers,
                     "block_size": eff_block,
-                    "scheduler": args.scheduler or tuning.scheduler,
                     "rhs": args.rhs, "repeat": args.repeat,
                     "procs": args.procs,
                 },
@@ -775,7 +772,6 @@ def cmd_serve(args) -> int:
         io_threads=args.io_threads,
         workers=args.workers,
         block_size=args.block_size,
-        scheduler=args.scheduler,
         tune_store=args.tune_store,
     )
     server = SolveServer(config)
@@ -1087,15 +1083,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--refine", action="store_true",
                          help="use iterative refinement")
     p_solve.add_argument("--workers", type=int, default=None,
-                         help="threads for the level-scheduled numeric "
-                              "factorization (default: tuning)")
-    p_solve.add_argument("--scheduler",
-                         choices=["level", "dag", "procs"], default=None,
-                         help="numeric-phase scheduler: level barriers "
-                              "(baseline), barrier-free DAG dispatch, or "
-                              "subtree-parallel worker processes; "
-                              "bit-identical results (defaults to the "
-                              "global tuning)")
+                         help="numeric-phase worker threads: 1 runs "
+                              "serially, more dispatch supernodes over a "
+                              "DAG thread pool; bit-identical results "
+                              "(default: tuning)")
     p_solve.add_argument("--block-size", type=int, default=None,
                          help="dense-kernel panel width (default: tuning)")
     p_solve.add_argument("--rhs", type=int, default=1,
@@ -1257,9 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: tuning)")
     p_srv.add_argument("--block-size", type=int, default=None,
                        help="dense-kernel panel width (default: tuning)")
-    p_srv.add_argument("--scheduler",
-                       choices=["level", "dag", "procs"], default=None,
-                       help="numeric-phase scheduler (default: tuning)")
     p_srv.add_argument("--tune-store", metavar="DIR", default=None,
                        help="autotuner experience store: pattern "
                             "registrations with ordering='auto' resolve "

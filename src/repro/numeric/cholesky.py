@@ -9,10 +9,9 @@ Schur complement up as this supernode's update matrix.
 Assembly uses the pattern-cached scatter maps of
 :mod:`repro.numeric.engine`, the partial factorization is the blocked
 BLAS-3 kernel of :mod:`repro.numeric.dense`, and with ``workers > 1``
-independent supernodes run under one of the interchangeable schedulers
-of :mod:`repro.numeric.schedule` (level barriers, barrier-free DAG, or
-subtree-parallel processes) — the result is bit-identical to the
-sequential leaves-to-root order for every scheduler and worker count.
+independent supernodes run on the DAG dispatcher of
+:mod:`repro.numeric.schedule` — the result is bit-identical to the
+sequential leaves-to-root order for every worker count.
 """
 
 from __future__ import annotations
@@ -27,13 +26,8 @@ from repro.numeric.engine import (
     export_factor_metrics,
     numeric_context,
 )
-from repro.numeric.schedule import SupernodeJob, run_scheduled
-from repro.numeric.tuning import (
-    get_tuning,
-    resolve_block_size,
-    resolve_scheduler,
-    resolve_workers,
-)
+from repro.numeric.schedule import SupernodeJob, run_dag
+from repro.numeric.tuning import resolve_block_size, resolve_workers
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
@@ -119,23 +113,12 @@ class CholeskyJob(SupernodeJob):
         self.columns[i] = (sn.rows.copy(),
                            np.tril(values[:, : sn.n_cols]))
 
-    def output_shapes(self, i: int) -> list[tuple[int, ...]]:
-        sn = self.supernodes[i]
-        return [(sn.front_size, sn.n_cols)]
-
-    def output_arrays(self, i: int) -> list[np.ndarray]:
-        return [self.columns[i][1]]
-
-    def load_outputs(self, i: int, arrays: list[np.ndarray]) -> None:
-        self.columns[i] = (self.supernodes[i].rows.copy(), arrays[0])
-
 
 def multifrontal_cholesky(
     matrix: CSCMatrix,
     symbolic: SymbolicFactorization,
     workers: int | None = None,
     block_size: int | None = None,
-    scheduler: str | None = None,
 ) -> CholeskyFactor:
     """Numerically factor a matrix under an existing symbolic analysis.
 
@@ -143,29 +126,23 @@ def multifrontal_cholesky(
         matrix: the *original* (unpermuted) SPD matrix; it is permuted with
             ``symbolic.perm`` internally, so the same analysis can be reused
             across many numeric factorizations (Figure 2's loop).
-        workers: worker count for the parallel schedulers (defaults to
-            the global :mod:`repro.numeric.tuning` value).  The factor is
-            bit-identical for every worker count.
+        workers: thread count of the numeric phase (defaults to the
+            global :mod:`repro.numeric.tuning` value; 1 runs serially).
+            The factor is bit-identical for every worker count.
         block_size: dense-kernel panel width (defaults to tuning).
-        scheduler: "level" | "dag" | "procs" (defaults to tuning; see
-            :mod:`repro.numeric.schedule`).  Bit-identical across all.
     """
     if symbolic.kind != "cholesky":
         raise ValueError("symbolic analysis is not for Cholesky")
     workers = resolve_workers(workers)
     block = resolve_block_size(block_size)
-    scheduler = resolve_scheduler(scheduler)
     t_start = time.perf_counter()
 
     ctx = numeric_context(symbolic, matrix)
     job = CholeskyJob(ctx, ctx.permuted_data(matrix), block)
-    stats = run_scheduled(
-        job, scheduler, workers,
-        parallel_threshold=get_tuning().parallel_threshold,
-    )
+    stats = run_dag(job, workers)
     job.check_consumed()
     export_factor_metrics(
         symbolic, time.perf_counter() - t_start, block,
-        ctx.levels, job.timer.total(), stats,
+        ctx.levels, float(job.busy.sum()), stats,
     )
     return CholeskyFactor(symbolic=symbolic, columns=job.columns)

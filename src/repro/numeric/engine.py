@@ -12,14 +12,12 @@ This module is the machinery shared by :func:`multifrontal_cholesky` and
   operations instead of per-entry Python loops — the amortized-analysis
   serving pattern of CKTSO-style circuit simulation.
 
-* **Scheduled parallel traversal**: the actual execution strategies live
-  in :mod:`repro.numeric.schedule` — level-scheduled barriers (baseline),
-  barrier-free DAG dispatch, and subtree-parallel worker processes — all
-  bit-identical for every worker count.  ``run_level_scheduled`` and
-  ``TaskTimer`` are re-exported here for backward compatibility.
+* **Traversal**: :mod:`repro.numeric.schedule` runs the supernode
+  tasks — serially, or on a thread-pool DAG dispatcher for
+  ``workers > 1`` — bit-identical for every worker count.
 
 * **Metrics export** (:func:`export_factor_metrics`): kernel FLOP rates,
-  level widths, scheduler evidence (ready-queue depth, dispatch latency,
+  level widths, dispatch evidence (ready-queue depth, dispatch latency,
   per-worker busy/idle), and worker occupancy land in the process-global
   :func:`repro.obs.global_registry` so run artifacts (and
   ``repro report --diff``) make numeric-engine regressions visible.
@@ -31,12 +29,7 @@ import threading
 
 import numpy as np
 
-from repro.numeric.schedule.base import (
-    SCHEDULER_NAMES,
-    ScheduleStats,
-    TaskTimer,
-)
-from repro.numeric.schedule.level import run_level_scheduled
+from repro.numeric.schedule.base import ScheduleStats
 from repro.obs import telemetry
 from repro.obs.metrics import global_registry
 from repro.sparse.coo import COOMatrix
@@ -46,12 +39,10 @@ from repro.symbolic.etree import etree_level_sets
 
 __all__ = [
     "NumericContext",
-    "TaskTimer",
     "export_factor_metrics",
     "last_factor_attribution",
     "numeric_context",
     "row_permutation_data_map",
-    "run_level_scheduled",
 ]
 
 
@@ -102,9 +93,10 @@ class NumericContext:
             initializes supernode ``i``'s front from A's entries (both the
             L and — for LU — the U part).
         sn_parent: supernode parent array (``-1`` for roots) — the task
-            dependence structure the DAG and subtree schedulers consume.
-        levels: supernode level sets (leaves first) for the level
-            scheduler.
+            dependence structure the DAG dispatcher consumes.
+        levels: supernode level sets (leaves first); their widths are
+            the schedule's available parallelism in the attribution
+            view.
     """
 
     def __init__(self, symbolic: SymbolicFactorization,
@@ -245,12 +237,12 @@ def numeric_context(symbolic: SymbolicFactorization,
 
 # Attribution view of the most recent factorization (see
 # last_factor_attribution); written by export_factor_metrics under
-# _attribution_lock.  Worker-role processes (procs scheduler subtree
-# workers, solve --procs load generators) never write it — they publish
-# through the telemetry sink instead, so a forked worker cannot clobber
-# the parent's view (each process has its own copy of this global, but
-# keeping worker copies empty makes the ownership unambiguous and the
-# merged view comes from the collector).
+# _attribution_lock.  Worker-role processes (solve --procs load
+# generators) never write it — they publish through the telemetry sink
+# instead, so a forked worker cannot clobber the parent's view (each
+# process has its own copy of this global, but keeping worker copies
+# empty makes the ownership unambiguous and the merged view comes from
+# the collector).
 _last_attribution: dict | None = None
 _attribution_lock = threading.Lock()
 
@@ -258,7 +250,7 @@ _attribution_lock = threading.Lock()
 def last_factor_attribution() -> dict | None:
     """The numeric-engine attribution view of the most recent
     factorization in this process: the level-width series (available
-    parallelism over the elimination-tree schedule), scheduler evidence
+    parallelism over the elimination-tree schedule), dispatch evidence
     (ready-queue depth, dispatch latency, per-worker busy/idle lanes),
     worker occupancy, and wall/busy seconds.  Embedded into solve run
     artifacts as the ``attribution.numeric`` section — the
@@ -330,12 +322,6 @@ def export_factor_metrics(
         width_hist.observe(len(level))
 
     sched = attribution["schedule"]
-    reg.gauge("numeric.sched.backend").set(
-        SCHEDULER_NAMES.index(stats.scheduler)
-    )
-    reg.counter(f"numeric.sched.tasks.{stats.scheduler}").inc(
-        stats.dispatched + stats.inline_tasks
-    )
     reg.gauge("numeric.sched.ready_depth.mean").set(
         sched["ready_depth"]["mean"]
     )
@@ -352,5 +338,3 @@ def export_factor_metrics(
     reg.gauge("numeric.sched.worker_tasks.imbalance").set(
         sched["task_imbalance"]
     )
-    if stats.n_subtrees:
-        reg.gauge("numeric.sched.subtrees").set(stats.n_subtrees)

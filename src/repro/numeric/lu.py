@@ -10,7 +10,7 @@ static-pivoted solvers.
 Like the Cholesky side, assembly runs through the pattern-cached scatter
 maps of :mod:`repro.numeric.engine`, the partial factorization is the
 blocked BLAS-3 kernel, and ``workers > 1`` runs independent supernodes
-under any of the :mod:`repro.numeric.schedule` backends with
+on the DAG dispatcher of :mod:`repro.numeric.schedule` with
 bit-identical results.
 """
 
@@ -27,13 +27,8 @@ from repro.numeric.engine import (
     export_factor_metrics,
     numeric_context,
 )
-from repro.numeric.schedule import SupernodeJob, run_scheduled
-from repro.numeric.tuning import (
-    get_tuning,
-    resolve_block_size,
-    resolve_scheduler,
-    resolve_workers,
-)
+from repro.numeric.schedule import SupernodeJob, run_dag
+from repro.numeric.tuning import resolve_block_size, resolve_workers
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.analyze import SymbolicFactorization
@@ -116,24 +111,6 @@ class LUJob(SupernodeJob):
                           np.tril(values[:, :k]),
                           np.triu(values[:k, :]))
 
-    def output_shapes(self, i: int) -> list[tuple[int, ...]]:
-        sn = self.supernodes[i]
-        size, k = sn.front_size, sn.n_cols
-        return [(size, k), (k, size)]
-
-    def output_arrays(self, i: int) -> list[np.ndarray]:
-        return [self.fronts[i][1], self.fronts[i][2]]
-
-    def load_outputs(self, i: int, arrays: list[np.ndarray]) -> None:
-        self.fronts[i] = (self.supernodes[i].rows.copy(),
-                          arrays[0], arrays[1])
-
-    def scalar_output(self, i: int) -> float:
-        return float(self.perturbed[i])
-
-    def load_scalar(self, i: int, value: float) -> None:
-        self.perturbed[i] = int(value)
-
 
 def multifrontal_lu(
     matrix: CSCMatrix,
@@ -141,7 +118,6 @@ def multifrontal_lu(
     perturb: float | None = None,
     workers: int | None = None,
     block_size: int | None = None,
-    scheduler: str | None = None,
 ) -> LUFactors:
     """Numerically LU-factor a matrix under an existing symbolic analysis.
 
@@ -150,17 +126,14 @@ def multifrontal_lu(
             matrix.
         symbolic: analysis with kind == "lu".
         perturb: small-pivot threshold; defaults to sqrt(eps) * max|A|.
-        workers: worker count for the parallel schedulers (defaults to
-            the global tuning; bit-identical for every N).
+        workers: thread count of the numeric phase (defaults to the
+            global tuning; 1 runs serially; bit-identical for every N).
         block_size: dense-kernel panel width (defaults to tuning).
-        scheduler: "level" | "dag" | "procs" (defaults to tuning; see
-            :mod:`repro.numeric.schedule`).  Bit-identical across all.
     """
     if symbolic.kind != "lu":
         raise ValueError("symbolic analysis is not for LU")
     workers = resolve_workers(workers)
     block = resolve_block_size(block_size)
-    scheduler = resolve_scheduler(scheduler)
     t_start = time.perf_counter()
 
     ctx = numeric_context(symbolic, matrix)
@@ -169,14 +142,11 @@ def multifrontal_lu(
         perturb = np.sqrt(np.finfo(np.float64).eps) * amax
 
     job = LUJob(ctx, ctx.permuted_data(matrix), block, perturb)
-    stats = run_scheduled(
-        job, scheduler, workers,
-        parallel_threshold=get_tuning().parallel_threshold,
-    )
+    stats = run_dag(job, workers)
     job.check_consumed()
     export_factor_metrics(
         symbolic, time.perf_counter() - t_start, block,
-        ctx.levels, job.timer.total(), stats,
+        ctx.levels, float(job.busy.sum()), stats,
     )
     return LUFactors(symbolic=symbolic, fronts=job.fronts,
                      perturbed_pivots=int(job.perturbed.sum()))

@@ -1,63 +1,20 @@
-"""Interchangeable numeric-phase schedulers.
+"""Execution of the numeric phase's per-supernode tasks.
 
-Three backends behind one interface (see :mod:`.base` for the model):
-
-========  ================================================================
-level     etree level sets with a barrier per level (baseline)
-dag       barrier-free task graph: supernodes fire when children finish
-procs     independent subtrees on forked worker processes over shared
-          memory; tree top finished by the DAG scheduler in the parent
-========  ================================================================
-
-All three produce bitwise-identical factors for every worker count.
-Pick with ``run_scheduled(job, scheduler, workers)`` or through the
-``scheduler`` knob on :class:`repro.numeric.tuning.NumericTuning`,
-:class:`repro.numeric.SparseSolver`, and ``repro solve --scheduler``.
+:mod:`.base` holds the job and stats model; :mod:`.dag` holds the one
+entry point, :func:`run_dag`.  With ``workers <= 1`` it runs the
+supernodes serially in ascending order; with more, a dependence-count
+dispatcher fires each supernode on a thread pool once its etree
+children finish.  The factor is bitwise identical for every worker
+count.
 """
 
 from __future__ import annotations
 
-from .base import (
-    SCHEDULER_NAMES,
-    ScheduleStats,
-    SupernodeJob,
-    TaskTimer,
-    WorkerLanes,
-)
+from .base import ScheduleStats, SupernodeJob
 from .dag import run_dag
-from .level import run_level, run_level_scheduled
-from .partition import partition_subtrees, subtree_work
-from .procs import run_procs
 
 __all__ = [
-    "SCHEDULER_NAMES",
     "ScheduleStats",
     "SupernodeJob",
-    "TaskTimer",
-    "WorkerLanes",
-    "partition_subtrees",
     "run_dag",
-    "run_level",
-    "run_level_scheduled",
-    "run_procs",
-    "run_scheduled",
-    "subtree_work",
 ]
-
-
-def run_scheduled(
-    job: SupernodeJob,
-    scheduler: str,
-    workers: int,
-    parallel_threshold: int = 2,
-) -> ScheduleStats:
-    """Run ``job`` under the named scheduler and return its stats."""
-    if scheduler == "level":
-        return run_level(job, workers, parallel_threshold)
-    if scheduler == "dag":
-        return run_dag(job, workers)
-    if scheduler == "procs":
-        return run_procs(job, workers, parallel_threshold)
-    raise ValueError(
-        f"unknown scheduler {scheduler!r}; expected one of {SCHEDULER_NAMES}"
-    )

@@ -1,74 +1,48 @@
-"""Barrier-free DAG scheduling of the numeric phase.
+"""Serial and barrier-free DAG execution of the numeric phase.
 
-Instead of synchronizing at every elimination-tree level, each
-supernode carries a dependence count (its number of etree children);
-completion of a child decrements the parent's count, and the parent is
-submitted to the thread pool the moment the count hits zero.  This is
-the CKTSO-style pipelined task-graph numeric phase: a slow supernode
-only delays its own ancestors, never unrelated subtrees, so
-wide-but-uneven level profiles no longer serialize on their slowest
-member.
+With one worker the supernodes run inline in ascending index order (a
+valid bottom-up traversal).  With more, each supernode carries a
+dependence count (its number of etree children); completion of a child
+decrements the parent's count, and the parent is submitted to the
+thread pool the moment the count hits zero.  This is the CKTSO-style
+pipelined task-graph numeric phase: a slow supernode only delays its
+own ancestors, never unrelated subtrees.
 
 Bit-identity is preserved because the *result* of each supernode task
 is order-independent (children extend-added in fixed ascending order
 inside ``SupernodeJob.compute``); only the execution interleaving
 changes.
-
-``run_dag`` also accepts a node subset so the process backend can use
-it to finish the top of the tree after the subtree phase.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from repro.obs import telemetry
 
 from .base import ScheduleStats, SupernodeJob, WorkerLanes
 
 
-def run_dag(
-    job: SupernodeJob,
-    workers: int,
-    nodes: Sequence[int] | np.ndarray | None = None,
-) -> ScheduleStats:
-    """Run ``job`` over ``nodes`` (default: all supernodes) dataflow-style.
-
-    ``nodes`` must be closed under the "all children inside or already
-    computed" rule: a node's children are either in ``nodes`` too or
-    have had their update matrices loaded into ``job.updates`` already
-    (the process backend's boundary case).  Dependence counts only
-    track children *inside* the subset.
-    """
-    if nodes is None:
-        node_list = list(range(job.n_supernodes))
-    else:
-        node_list = [int(i) for i in nodes]
-    stats = ScheduleStats("dag", workers)
+def run_dag(job: SupernodeJob, workers: int) -> ScheduleStats:
+    """Run every supernode of ``job``: inline for ``workers <= 1``,
+    dataflow-style on a ``workers``-thread pool otherwise."""
+    total = job.n_supernodes
+    stats = ScheduleStats(workers)
     t_start = time.perf_counter()
 
-    if workers <= 1 or len(node_list) <= 1:
+    if workers <= 1 or total <= 1:
         # Ascending index order is a valid bottom-up traversal
         # (children are always numbered before their parents).
-        for i in sorted(node_list):
+        for i in range(total):
             job.compute(i)
-        stats.inline_tasks = len(node_list)
+        stats.inline_tasks = total
         stats.wall_s = time.perf_counter() - t_start
         return stats
 
-    in_set = np.zeros(job.n_supernodes, dtype=bool)
-    in_set[node_list] = True
-    deps = {
-        i: sum(1 for c in job.supernodes[i].children if in_set[c])
-        for i in node_list
-    }
+    deps = [len(job.supernodes[i].children) for i in range(total)]
 
-    total = len(node_list)
     cond = threading.Condition()
     state = {"submitted": 0, "finished": 0, "error": None, "ready": 0}
     ready_at: dict[int, float] = {}
@@ -110,7 +84,7 @@ def run_dag(
         lanes.record(t1 - t0)
         with cond:
             parent = int(job.sn_parent[i])
-            if parent >= 0 and in_set[parent] and state["error"] is None:
+            if parent >= 0 and state["error"] is None:
                 deps[parent] -= 1
                 if deps[parent] == 0:
                     submit(pool, parent, t1)
@@ -120,7 +94,7 @@ def run_dag(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         with cond:
             now = time.perf_counter()
-            for i in node_list:
+            for i in range(total):
                 if deps[i] == 0:
                     submit(pool, i, now)
             # Done when nothing is in flight and either everything ran

@@ -70,10 +70,6 @@ class SparseSolver:
             defers to the global :mod:`repro.numeric.tuning`).  The
             factor is bit-identical for every worker count.
         block_size: dense-kernel panel width (``None`` defers to tuning).
-        scheduler: numeric-phase scheduler — "level", "dag", or "procs"
-            (``None`` defers to tuning; see
-            :mod:`repro.numeric.schedule` and docs/PERFORMANCE.md).
-            Bit-identical across all schedulers.
         rhs_pad: batch-invariant solve width.  When > 1, every ``solve``
             with k <= rhs_pad right-hand sides runs as one zero-padded
             (n, rhs_pad) panel and the real columns are sliced out.
@@ -100,7 +96,6 @@ class SparseSolver:
         relax_ratio: float = 0.3,
         workers: int | None = None,
         block_size: int | None = None,
-        scheduler: str | None = None,
         rhs_pad: int = 1,
         use_cache: bool = True,
         tune_store=None,
@@ -128,7 +123,6 @@ class SparseSolver:
         self.ordering = ordering  # concrete method ("auto" already resolved)
         self.workers = workers
         self.block_size = block_size
-        self.scheduler = scheduler
         self.rhs_pad = rhs_pad
         # The pattern this solver was built for (refactorize validates
         # against it, so pattern changes fail loudly).
@@ -175,23 +169,30 @@ class SparseSolver:
 
     def factorize(self) -> None:
         """(Re)run the numeric factorization for the current values."""
+        self._factor(self._matrix)
+
+    def _factor(self, matrix: CSCMatrix) -> None:
+        """Factor ``matrix`` (already row-permuted for LU) and make it
+        the solver's current values.
+
+        The matrix and its factor are swapped in together, and only
+        after the factorization succeeds: when it raises, the solver
+        keeps the previous pair and answers for the previous values.
+        """
         with span("numeric.factorize"):
-            if self.kind == "cholesky":
-                self._chol = multifrontal_cholesky(
-                    self._matrix, self.symbolic,
-                    workers=self.workers, block_size=self.block_size,
-                    scheduler=self.scheduler,
-                )
-            else:
-                self._lu = multifrontal_lu(
-                    self._matrix, self.symbolic,
-                    workers=self.workers, block_size=self.block_size,
-                    scheduler=self.scheduler,
-                )
-            # CSC mirrors are materialized lazily (only the "csc" solve
-            # method and factor_nnz need them).
-            self._lower = None
-            self._upper = None
+            factor = (multifrontal_cholesky if self.kind == "cholesky"
+                      else multifrontal_lu)
+            result = factor(matrix, self.symbolic, workers=self.workers,
+                            block_size=self.block_size)
+        self._matrix = matrix
+        if self.kind == "cholesky":
+            self._chol = result
+        else:
+            self._lu = result
+        # CSC mirrors are materialized lazily (only the "csc" solve
+        # method and factor_nnz need them).
+        self._lower = None
+        self._upper = None
         logger.info("numeric %s factorization: predicted factor nnz %d",
                     self.kind, self.symbolic.factor_nnz)
 
@@ -199,6 +200,9 @@ class SparseSolver:
         """Refactor with new values on the same nonzero pattern.
 
         Raises ValueError if the pattern differs from the analyzed one.
+        Transactional: if the factorization fails (e.g. a non-SPD pivot),
+        the exception propagates and the solver keeps its previous
+        values and factor.
         """
         if not (
             np.array_equal(matrix.indptr, self._src_indptr)
@@ -211,14 +215,12 @@ class SparseSolver:
             # Re-apply the *existing* row permutation: the pattern is
             # fixed, so the original matching stays structurally valid and
             # the permutation is a single precomputed gather.
-            self._matrix = CSCMatrix(
+            matrix = CSCMatrix(
                 matrix.n_rows, matrix.n_cols,
                 self._matrix.indptr, self._matrix.indices,
                 matrix.data[self._row_data_map],
             )
-        else:
-            self._matrix = matrix
-        self.factorize()
+        self._factor(matrix)
 
     def _ensure_csc(self) -> None:
         if self._lower is not None:

@@ -1,7 +1,7 @@
 """Tuning knobs for the numeric engine (block sizes, worker counts).
 
 The blocked dense kernels (:mod:`repro.numeric.dense`) and the
-level-scheduled multifrontal factorizations
+multifrontal factorizations
 (:mod:`repro.numeric.cholesky` / :mod:`repro.numeric.lu`) read their
 defaults from a process-global :class:`NumericTuning`.  Every knob can be
 overridden per call (``block_size=`` / ``workers=`` arguments), set
@@ -18,18 +18,13 @@ Knobs:
   width; 32–128 is the useful range on typical BLAS builds.  ``1``
   degenerates to the textbook per-pivot algorithm (useful as a reference
   in benchmarks).
-* ``workers`` — thread count for level-scheduled multifrontal
-  factorization.  NumPy's BLAS releases the GIL inside the dense kernels,
-  so independent supernodes within an elimination-tree level run
-  concurrently.  ``1`` means fully sequential.
-* ``parallel_threshold`` — minimum number of supernodes in a level before
-  the level is dispatched to the thread pool; tiny levels are cheaper to
-  run inline than to schedule.
-* ``scheduler`` — which :mod:`repro.numeric.schedule` backend runs the
-  numeric phase: ``"level"`` (barrier per etree level, the baseline),
-  ``"dag"`` (barrier-free dataflow dispatch), or ``"procs"``
-  (subtree-parallel worker processes over shared memory).  All three are
-  bit-identical; see docs/PERFORMANCE.md "Choosing a scheduler".
+* ``workers`` — thread count of the numeric phase.  ``1`` (the default)
+  runs the supernodes serially; more dispatches each supernode to a
+  thread pool once its etree children finish
+  (:mod:`repro.numeric.schedule`).  NumPy's BLAS releases the GIL inside
+  the dense kernels, so independent supernodes can overlap.  The factor
+  is bit-identical for every value; see docs/PERFORMANCE.md for when
+  more than one worker pays.
 """
 
 from __future__ import annotations
@@ -39,12 +34,6 @@ from dataclasses import dataclass, replace
 
 DEFAULT_BLOCK_SIZE = 48
 DEFAULT_WORKERS = 1
-DEFAULT_PARALLEL_THRESHOLD = 2
-DEFAULT_SCHEDULER = "level"
-
-#: Mirrors repro.numeric.schedule.SCHEDULER_NAMES (kept literal here so
-#: tuning stays import-light and cycle-free).
-SCHEDULERS = ("level", "dag", "procs")
 
 
 @dataclass(frozen=True)
@@ -53,20 +42,12 @@ class NumericTuning:
 
     block_size: int = DEFAULT_BLOCK_SIZE
     workers: int = DEFAULT_WORKERS
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    scheduler: str = DEFAULT_SCHEDULER
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.parallel_threshold < 1:
-            raise ValueError("parallel_threshold must be >= 1")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}"
-            )
 
 
 _tuning = NumericTuning()
@@ -87,8 +68,8 @@ def set_tuning(tuning: NumericTuning) -> NumericTuning:
 
 @contextmanager
 def tuned(**overrides):
-    """Temporarily override tuning fields (``block_size=``, ``workers=``,
-    ``parallel_threshold=``, ``scheduler=``) within a ``with`` block."""
+    """Temporarily override tuning fields (``block_size=``, ``workers=``)
+    within a ``with`` block."""
     previous = set_tuning(replace(_tuning, **overrides))
     try:
         yield _tuning
@@ -105,11 +86,3 @@ def resolve_workers(workers: int | None) -> int:
     """Per-call override, falling back to the global tuning."""
     return _tuning.workers if workers is None else int(workers)
 
-
-def resolve_scheduler(scheduler: str | None) -> str:
-    """Per-call override, falling back to the global tuning."""
-    if scheduler is None:
-        return _tuning.scheduler
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"scheduler must be one of {SCHEDULERS}")
-    return scheduler

@@ -51,17 +51,15 @@ WATCHED_METRICS: dict[str, str] = {
     "numeric.factor.gflops_per_s": "higher",
     "numeric.parallel.occupancy": "higher",
     "numeric.analysis_cache.hit_rate": "higher",
-    # numeric-phase scheduler evidence (repro.numeric.schedule): idle
-    # seconds and dispatch latency shrink when the scheduler keeps
+    # numeric-phase dispatch evidence (repro.numeric.schedule): idle
+    # seconds and dispatch latency shrink when the DAG dispatcher keeps
     # workers fed; ready-queue depth is the parallelism it exposes.
     "numeric.sched.idle_s": "lower",
     "numeric.sched.dispatch_latency_ms.mean": "lower",
     "numeric.sched.ready_depth.mean": "higher",
     "numeric.sched.worker_tasks.imbalance": "lower",
-    # scheduler sweep speedups vs the level baseline
-    # (benchmarks/perf_smoke.py --scheduler)
+    # DAG dispatcher vs the serial loop (benchmarks/perf_smoke.py --sched-only)
     "numeric.speedup.dag": "higher",
-    "numeric.speedup.procs": "higher",
     # differential verification (repro.verify)
     "verify.mismatches": "lower",
     "verify.checks": "higher",

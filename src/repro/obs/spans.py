@@ -16,7 +16,7 @@ library code can be instrumented unconditionally.  Spans nest; each span
 records its depth and parent name so exporters can rebuild the hierarchy.
 
 The tracer is thread-safe: the open-span stack is thread-local (so spans
-opened concurrently from worker threads — e.g. the level-scheduled
+opened concurrently from worker threads — e.g. the DAG-dispatched
 numeric pool — nest within their own thread, not each other), completed
 spans are appended under a lock, and registered completion listeners
 (:meth:`Tracer.add_listener`, used by :mod:`repro.obs.telemetry` to

@@ -517,8 +517,8 @@ class Timeline:
     def merged_numeric_attribution(self) -> dict | None:
         """Cross-process merge of the numeric-engine attribution views.
 
-        Worker processes (the procs scheduler, ``solve --procs`` load
-        generators) publish their per-process view through the sink
+        Worker processes (``solve --procs`` load generators) publish
+        their per-process view through the sink
         rather than clobbering the parent's module global; this folds
         them back together: seconds/busy-seconds/task totals summed,
         per-process views kept for drill-down.  ``None`` when no process

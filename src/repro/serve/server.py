@@ -95,7 +95,6 @@ class ServeConfig:
     #: Numeric-phase knobs forwarded to each SparseSolver.
     workers: int | None = None
     block_size: int | None = None
-    scheduler: str | None = None
     #: Autotuner experience store (a directory path).  When set, pattern
     #: registrations with ``ordering="auto"`` resolve the best known
     #: ordering/block-size/workers for the matrix family from it (see
@@ -370,7 +369,6 @@ class PatternWorker(threading.Thread):
                 ordering=ticket.ordering,
                 workers=self.config.workers,
                 block_size=self.config.block_size,
-                scheduler=self.config.scheduler,
                 rhs_pad=self.config.effective_rhs_pad(),
                 tune_store=self.config.tune_store,
             )
@@ -774,11 +772,14 @@ class SolveServer:
 # -- asyncio socket front end -------------------------------------------------
 
 
-async def serve_unix(server: SolveServer, path: str):
+async def serve_unix(server: SolveServer, path: str,
+                     inflight: set | None = None):
     """Start the NDJSON front end on a unix socket; returns the
     asyncio server object.  Each request line becomes its own task on a
     thread pool, so pipelined requests from one connection (and requests
-    from many connections) reach the coalescing queues concurrently."""
+    from many connections) reach the coalescing queues concurrently.
+    ``inflight`` (if given) holds every request task until its response
+    is written, so a runner can drain them before it stops the loop."""
     import asyncio
     from concurrent.futures import ThreadPoolExecutor
 
@@ -810,6 +811,9 @@ async def serve_unix(server: SolveServer, path: str):
                 task = asyncio.ensure_future(one(line))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
+                if inflight is not None:
+                    inflight.add(task)
+                    task.add_done_callback(inflight.discard)
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         finally:
@@ -826,12 +830,15 @@ def run_unix_server(server: SolveServer, path: str,
     """Blocking runner: serve on ``path`` until the server shuts down.
 
     ``ready`` (if given) is set once the socket is listening — the
-    hand-shake tests and the CLI's startup message use it.
+    hand-shake tests and the CLI's startup message use it.  Responses
+    still in flight when the server shuts down — the ``shutdown`` op's
+    own reply included — are written out before the loop returns.
     """
     import asyncio
 
     async def main() -> None:
-        sock_server = await serve_unix(server, path)
+        inflight: set = set()
+        sock_server = await serve_unix(server, path, inflight)
         if ready is not None:
             ready.set()
         logger.info("serving on %s", path)
@@ -840,6 +847,8 @@ def run_unix_server(server: SolveServer, path: str,
                 await asyncio.sleep(0.05)
         finally:
             sock_server.close()
+            if inflight:
+                await asyncio.wait(set(inflight), timeout=30.0)
             await sock_server.wait_closed()
 
     asyncio.run(main())

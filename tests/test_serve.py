@@ -5,6 +5,7 @@ refactorize barrier, the socket front end, the load generator, and the
 CLI commands."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.serve import protocol
 from repro.serve.bench import BenchConfig, build_workload, run_bench
 from repro.serve.metrics import REQUEST_PHASE
 from repro.sparse import grid_laplacian_2d, random_spd, random_unsymmetric
+from repro.sparse.csc import CSCMatrix
 from repro.verify.generators import build_case
 
 
@@ -432,6 +434,24 @@ class TestSolveServer:
         assert snapshot["serve.requests.solve"] == 1
 
 
+    def test_rejected_refactorize_keeps_last_accepted_values(self, server):
+        matrix = grid_laplacian_2d(8, seed=21)
+        pattern = server.factor(matrix)["pattern"]
+        accepted = matrix.data * 2.0
+        server.refactorize(pattern, accepted)
+        with pytest.raises(ValueError, match="non-SPD pivot"):
+            server.refactorize(pattern, -matrix.data)
+        reference = SparseSolver(
+            CSCMatrix(matrix.n_rows, matrix.n_cols, matrix.indptr,
+                      matrix.indices, accepted), rhs_pad=8)
+        b = _rhs(matrix, seed=22)
+        assert np.array_equal(server.solve(pattern, b), reference.solve(b))
+        # The pattern's solver still holds the accepted values, so
+        # factoring them again leaves later answers unchanged.
+        server._workers[pattern].solver.factorize()
+        assert np.array_equal(server.solve(pattern, b), reference.solve(b))
+
+
 # -- socket front end -----------------------------------------------------
 
 
@@ -461,6 +481,32 @@ class TestSocketServer:
             with pytest.raises(RuntimeError, match="unknown pattern"):
                 client.solve("missing", b)
             client.shutdown()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_shutdown_reply_written_before_loop_exits(self, tmp_path):
+        # Delay the shutdown op's reply well past the runner's 50 ms
+        # poll: the runner sees the shutdown flag first and must still
+        # write the reply before it stops the event loop.
+        path = str(tmp_path / "serve.sock")
+        srv = SolveServer(ServeConfig(max_batch=4))
+        handle = srv.handle
+
+        def slow_handle(message):
+            response = handle(message)
+            if message.get("op") == "shutdown":
+                time.sleep(0.3)
+            return response
+
+        srv.handle = slow_handle
+        ready = threading.Event()
+        thread = threading.Thread(target=run_unix_server,
+                                  args=(srv, path, ready), daemon=True)
+        thread.start()
+        assert ready.wait(10.0)
+        with SocketClient(path) as client:
+            response = client.request({"op": "shutdown"})
+        assert response["stopping"] is True
         thread.join(timeout=10.0)
         assert not thread.is_alive()
 

@@ -109,6 +109,25 @@ class TestRefactorize:
             assert solver.residual_norm(scaled, solver.solve(b), b) < 1e-12
             current = scaled
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_refactorize_keeps_previous_pair(self, rng, workers):
+        # workers=2 raises the non-SPD pivot from a DAG worker thread.
+        accepted = grid_laplacian_2d(12, seed=3)
+        solver = SparseSolver(accepted, workers=workers, use_cache=False)
+        assert solver.symbolic.tree.n_supernodes > 1
+        rejected = CSCMatrix(accepted.n_rows, accepted.n_cols,
+                             accepted.indptr, accepted.indices,
+                             -accepted.data)
+        with pytest.raises(ValueError, match="non-SPD pivot"):
+            solver.refactorize(rejected)
+        fresh = SparseSolver(accepted, workers=workers, use_cache=False)
+        b = rng.standard_normal(accepted.n_rows)
+        assert np.array_equal(solver.solve(b), fresh.solve(b))
+        # The solver's current values are still the accepted ones:
+        # factoring them again succeeds and changes nothing.
+        solver.factorize()
+        assert np.array_equal(solver.solve(b), fresh.solve(b))
+
 
 class TestValidation:
     def test_rejects_rectangular(self):

@@ -349,7 +349,7 @@ class TestTracerThreadSafety:
         assert len(seen) == 6 * 25
 
     def test_worker_pool_spans_stream_to_sink(self, tmp_path, spd_medium):
-        # The real consumer: level-scheduled numeric workers emitting
+        # The real consumer: DAG-dispatched numeric workers emitting
         # concurrent spans while telemetry mirrors them to the sink.
         telemetry.start(tmp_path, run_id="run-th", heartbeat_s=None)
         solver = SparseSolver(spd_medium, workers=4)
@@ -361,7 +361,7 @@ class TestTracerThreadSafety:
         names = {e["name"] for e in events if e["t"] == "span"}
         assert "numeric.factorize" in names
         assert "numeric.solve" in names
-        assert "numeric.level" in names       # per-level task spans
+        assert "numeric.supernode" in names   # per-supernode task spans
 
 
 class TestArtifactTelemetrySections:
