@@ -36,7 +36,7 @@ from repro.numeric.triangular import (
 from repro.numeric.refinement import RefinementResult, iterative_refinement
 from repro.numeric.supernodal_solve import cholesky_solve, lu_solve
 from repro.numeric.schedule import ScheduleStats
-from repro.numeric.solver import SparseSolver
+from repro.numeric.solver import NonFiniteInputError, SparseSolver
 from repro.numeric.tuning import NumericTuning, get_tuning, set_tuning, tuned
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "iterative_refinement",
     "cholesky_solve",
     "lu_solve",
+    "NonFiniteInputError",
     "SparseSolver",
     "NumericTuning",
     "get_tuning",

@@ -130,9 +130,9 @@ class NumericContext:
                                   dtype=np.int64)
         self.levels = etree_level_sets(self.sn_parent)
 
-        lower_maps = self._build_column_maps(
-            analyzed.indptr, analyzed.indices
-        )
+        # A's at-or-below-diagonal entries: the L part of every front.
+        lower_maps = self._front_maps(analyzed.indptr, analyzed.indices,
+                                      0, False, None)
         if symbolic.kind == "lu":
             upper_maps = self._build_row_maps(analyzed)
             self.flat_pos = [
@@ -149,31 +149,56 @@ class NumericContext:
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_column_maps(self, indptr: np.ndarray, indices: np.ndarray
-                           ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-supernode (front flat position, permuted data index) pairs
-        for A's at-or-below-diagonal entries (the L part of every front)."""
-        maps = []
-        for sn in self.symbolic.tree.supernodes:
-            size = sn.front_size
-            flat: list[np.ndarray] = []
-            data: list[np.ndarray] = []
-            for local, j in enumerate(range(sn.first_col, sn.last_col + 1)):
-                lo, hi = int(indptr[j]), int(indptr[j + 1])
-                rows = indices[lo:hi]
-                # Rows are sorted; the lower-triangle part is a suffix.
-                start = int(np.searchsorted(rows, j))
-                rows = rows[start:]
-                pos = np.searchsorted(sn.rows, rows)
-                ok = (pos < size) & (sn.rows[np.minimum(pos, size - 1)]
-                                     == rows)
-                flat.append(pos[ok] * size + local)
-                data.append(lo + start + np.flatnonzero(ok))
-            maps.append((
-                np.concatenate(flat) if flat else np.empty(0, np.int64),
-                np.concatenate(data) if data else np.empty(0, np.int64),
-            ))
-        return maps
+    def _front_maps(self, indptr: np.ndarray, indices: np.ndarray,
+                    offset: int, row_major: bool, src: np.ndarray | None
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-supernode (front flat position, data index) pairs for the
+        entries ``(i, j)`` of a CSC pattern with ``i >= j + offset``.
+
+        Column ``j`` belongs to the supernode that factors it, and ``i``
+        is looked up in that supernode's front rows by one
+        ``searchsorted`` over the keys ``supernode * n + row`` of every
+        front (already sorted: supernodes are in column order and their
+        rows are sorted).  Entries whose ``i`` is not a front row are
+        dropped.  The flat position is ``pos * size + local`` (the entry
+        lands in column ``local`` of the front) or, with ``row_major``,
+        ``local * size + pos`` (row ``local``).  ``src`` maps entry slots
+        to data indices (the slot itself when ``None``).  Entries keep
+        their CSC order: per supernode, by column, then by row.
+        """
+        supernodes = self.symbolic.tree.supernodes
+        n = len(indptr) - 1
+        n_sn = len(supernodes)
+        if n_sn == 0:
+            return []
+        sizes = np.array([sn.front_size for sn in supernodes],
+                         dtype=np.int64)
+        first = np.array([sn.first_col for sn in supernodes],
+                         dtype=np.int64)
+        sn_of_col = np.repeat(
+            np.arange(n_sn, dtype=np.int64),
+            [sn.n_cols for sn in supernodes],
+        )
+        row_start = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        keys = (np.repeat(np.arange(n_sn, dtype=np.int64), sizes) * n
+                + np.concatenate([sn.rows for sn in supernodes]))
+
+        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        entry = np.flatnonzero(indices >= cols + offset)
+        col = cols[entry]
+        sn = sn_of_col[col]
+        key = sn * n + indices[entry]
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        ok = keys[at] == key
+        entry, col, sn, at = entry[ok], col[ok], sn[ok], at[ok]
+        pos = at - row_start[sn]
+        local = col - first[sn]
+        flat = (local * sizes[sn] + pos if row_major
+                else pos * sizes[sn] + local)
+        data = entry if src is None else src[entry]
+        bounds = np.searchsorted(sn, np.arange(n_sn + 1))
+        return [(flat[lo:hi], data[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def _build_row_maps(self, analyzed: CSCMatrix
                         ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -185,27 +210,8 @@ class NumericContext:
         # "Columns" of the tagged transpose are rows of the permuted
         # matrix; its data slots carry the permuted-data index.
         t = _arange_csc(n, n, cols, analyzed.indices.copy())
-        t_src = _as_int_index(t.data)
-        maps = []
-        for sn in self.symbolic.tree.supernodes:
-            size = sn.front_size
-            flat: list[np.ndarray] = []
-            data: list[np.ndarray] = []
-            for local, j in enumerate(range(sn.first_col, sn.last_col + 1)):
-                lo, hi = int(t.indptr[j]), int(t.indptr[j + 1])
-                cidx = t.indices[lo:hi]
-                start = int(np.searchsorted(cidx, j + 1))  # strictly right
-                cidx = cidx[start:]
-                pos = np.searchsorted(sn.rows, cidx)
-                ok = (pos < size) & (sn.rows[np.minimum(pos, size - 1)]
-                                     == cidx)
-                flat.append(local * size + pos[ok])
-                data.append(t_src[lo + start + np.flatnonzero(ok)])
-            maps.append((
-                np.concatenate(flat) if flat else np.empty(0, np.int64),
-                np.concatenate(data) if data else np.empty(0, np.int64),
-            ))
-        return maps
+        return self._front_maps(t.indptr, t.indices, 1, True,
+                                _as_int_index(t.data))
 
     # -- queries -------------------------------------------------------------
 

@@ -39,6 +39,22 @@ from repro.symbolic.analyze import SymbolicFactorization, symbolic_factorize
 logger = logging.getLogger(__name__)
 
 
+class NonFiniteInputError(ValueError):
+    """A matrix value or right-hand side is NaN or infinite.
+
+    Raised at the solver's boundary (construction, ``refactorize``,
+    ``solve``) so non-finite input never reaches the kernels, where it
+    would come back as a NaN solution instead of an error.
+    """
+
+
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise :class:`NonFiniteInputError` unless every value is finite."""
+    if not np.isfinite(values).all():
+        global_registry().counter("numeric.errors.non_finite").inc()
+        raise NonFiniteInputError(f"{what} contains NaN or Inf")
+
+
 class SparseSolver:
     """Direct solver for sparse linear systems via Cholesky or LU.
 
@@ -85,6 +101,8 @@ class SparseSolver:
             :func:`~repro.numeric.cache.analysis_cache` so repeated solver
             construction over one pattern skips ordering and symbolic
             factorization.
+
+    Raises :class:`NonFiniteInputError` if a matrix value is NaN or Inf.
     """
 
     def __init__(
@@ -104,6 +122,7 @@ class SparseSolver:
             raise ValueError("solver requires a square matrix")
         if rhs_pad < 1:
             raise ValueError("rhs_pad must be >= 1")
+        require_finite(matrix.data, "matrix values")
         if ordering == "auto":
             # Resolve against the autotuner experience store before the
             # cache key is formed: the analysis cache must only ever see
@@ -199,11 +218,20 @@ class SparseSolver:
     def refactorize(self, matrix: CSCMatrix) -> None:
         """Refactor with new values on the same nonzero pattern.
 
-        Raises ValueError if the pattern differs from the analyzed one.
+        Raises ValueError if the pattern differs from the analyzed one,
+        and :class:`NonFiniteInputError` for NaN or Inf values.
         Transactional: if the factorization fails (e.g. a non-SPD pivot),
         the exception propagates and the solver keeps its previous
-        values and factor.
+        values and factor.  Every failure counts in
+        ``numeric.errors.refactorize``.
         """
+        try:
+            self._refactorize(matrix)
+        except Exception:
+            global_registry().counter("numeric.errors.refactorize").inc()
+            raise
+
+    def _refactorize(self, matrix: CSCMatrix) -> None:
         if not (
             np.array_equal(matrix.indptr, self._src_indptr)
             and np.array_equal(matrix.indices, self._src_indices)
@@ -211,6 +239,7 @@ class SparseSolver:
             raise ValueError(
                 "pattern changed; construct a new SparseSolver instead"
             )
+        require_finite(matrix.data, "matrix values")
         if self.kind == "lu":
             # Re-apply the *existing* row permutation: the pattern is
             # fixed, so the original matching stays structurally valid and
@@ -245,6 +274,8 @@ class SparseSolver:
                 supernode structure, the multifrontal-native path) or
                 "csc" (simple column-at-a-time substitution; used as an
                 independent oracle in tests).
+
+        Raises :class:`NonFiniteInputError` if ``b`` holds NaN or Inf.
         """
         if method not in ("supernodal", "csc"):
             raise ValueError("method must be 'supernodal' or 'csc'")
@@ -253,6 +284,7 @@ class SparseSolver:
             raise ValueError("b must be a vector or an (n, k) array")
         if b.shape[0] != self.symbolic.n:
             raise ValueError("dimension mismatch in solve")
+        require_finite(b, "right-hand side")
         k = 1 if b.ndim == 1 else b.shape[1]
         # Batch-invariant padding: widen to a fixed (n, rhs_pad) panel so
         # every dense kernel runs at batch-size-independent shapes —

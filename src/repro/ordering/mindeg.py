@@ -21,6 +21,16 @@ also seeds good supernodes.
 Hub/dense vertices are deferred to the end of the ordering (the standard
 dense-row guard), which matters for the power-law circuit matrices in the
 evaluation suite.
+
+Element sizes are maintained, never recomputed.  Invariant: for every
+live element e, ``esz[e]`` is the total weight of the *alive* variables
+in ``elem_vars[e]``.  It is set to ``|L_p|`` (by weight) when element p
+is formed, loses ``weight[v]`` in each element of a variable v deferred
+as dense, and is dropped with the element when it is absorbed.  A
+supervariable merge leaves it unchanged: the absorbed variable and its
+twin share the same elements, and the twin takes over its weight.
+Variables only leave elements by these routes (elimination absorbs every
+element of the pivot), so the invariant holds at every counting pass.
 """
 
 from __future__ import annotations
@@ -56,24 +66,25 @@ def minimum_degree(matrix: CSCMatrix,
     ]
     elem_nbrs: list[set[int]] = [set() for _ in range(n)]
     elem_vars: dict[int, set[int]] = {}
-    weight = np.ones(n, dtype=np.int64)  # supervariable member counts
+    esz: dict[int, int] = {}  # live element -> alive weight of its vars
+    weight = [1] * n  # supervariable member counts
     members: list[list[int]] = [[v] for v in range(n)]
-    alive = np.ones(n, dtype=bool)
-    degree = np.array([len(s) for s in var_nbrs], dtype=np.int64)
+    alive = [True] * n
+    degree = [len(s) for s in var_nbrs]
 
-    heap: list[tuple[int, int]] = [(int(degree[v]), v) for v in range(n)]
+    # Heap keys degree * n + v order exactly like (degree, v) tuples and
+    # compare faster.  Entries go stale when a degree changes; a popped
+    # key counts only if it matches the vertex's current degree.
+    heap = [degree[v] * n + v for v in range(n)]
     heapq.heapify(heap)
     order: list[int] = []
     deferred: list[tuple[int, int]] = []
     remaining = n
 
-    def esize(e: int) -> int:
-        return int(sum(weight[x] for x in elem_vars[e] if alive[x]))
-
     while remaining > 0:
         entry = None
         while heap:
-            deg, v = heapq.heappop(heap)
+            deg, v = divmod(heapq.heappop(heap), n)
             if alive[v] and deg == degree[v]:
                 entry = (deg, v)
                 break
@@ -81,7 +92,7 @@ def minimum_degree(matrix: CSCMatrix,
             live = [u for u in range(n) if alive[u]]
             if not live:
                 break
-            heap = [(int(degree[u]), u) for u in live]
+            heap = [degree[u] * n + u for u in live]
             heapq.heapify(heap)
             continue
         deg, v = entry
@@ -89,6 +100,9 @@ def minimum_degree(matrix: CSCMatrix,
             alive[v] = False
             deferred.append((deg, v))
             remaining -= len(members[v])
+            wv = weight[v]
+            for e in elem_nbrs[v]:
+                esz[e] -= wv
             continue
 
         # Form element p = v: its variables are v's full adjacency.
@@ -103,70 +117,86 @@ def minimum_degree(matrix: CSCMatrix,
         remaining -= len(members[v])
         elem_vars[v] = adj
         absorbed = set(elem_nbrs[v])
-        for u in adj:
-            elem_nbrs[u] -= absorbed
-            elem_nbrs[u].add(v)
-            var_nbrs[u].discard(v)
-            var_nbrs[u] -= adj  # clique edges become implicit via p
         for e in absorbed:
             elem_vars.pop(e, None)
-
-        # Amestoy's counting pass: overlap of every touched element with
-        # L_p, plus memoized element sizes for this round.
-        overlap: dict[int, int] = {}
-        sizes: dict[int, int] = {}
+            esz.pop(e, None)
+        # Amestoy's counting pass (the "w" trick), fused with the
+        # quotient-graph update: ext_of[e] = |L_e \ L_p| for every
+        # element touched by L_p, from the maintained element sizes.
+        ext_of: dict[int, int] = {}
+        adj_weight = 0
         for u in adj:
-            wu = int(weight[u])
-            for e in elem_nbrs[u]:
-                if e == v:
-                    continue
-                overlap[e] = overlap.get(e, 0) + wu
-        for e in overlap:
-            sizes[e] = esize(e)
-
-        adj_weight = int(sum(weight[u] for u in adj))
+            wu = weight[u]
+            adj_weight += wu
+            eu = elem_nbrs[u]
+            eu -= eu & absorbed
+            for e in eu:
+                if e in ext_of:
+                    ext_of[e] -= wu
+                else:
+                    ext_of[e] = esz[e] - wu
+            eu.add(v)
+            nb = var_nbrs[u]
+            nb.discard(v)
+            # Clique edges become implicit via p.  Deleting only the
+            # members of the (usually small) intersection is O(min) per
+            # vertex and leaves the same hash table, so the same order.
+            nb -= nb & adj
+        esz[v] = adj_weight
+        ext_of[v] = -1  # p itself: neither outside L_p nor absorbed
 
         # Degree update + element absorption + supervariable merging.
+        limit = remaining - 1
         signature: dict[tuple, int] = {}
         for u in list(adj):
             if not alive[u]:
                 continue
-            # Absorb elements entirely covered by L_p.
-            dead_elems = {
-                e for e in elem_nbrs[u]
-                if e != v and sizes.get(e, 1) == overlap.get(e, 0)
-            }
-            if dead_elems:
-                elem_nbrs[u] -= dead_elems
-                for e in dead_elems:
-                    elem_vars.pop(e, None)
-            ext = adj_weight - int(weight[u])
-            ext += int(sum(weight[x] for x in var_nbrs[u] if alive[x]))
-            for e in elem_nbrs[u]:
-                if e == v:
-                    continue
-                ext += max(0, sizes.get(e, esize(e)) - overlap.get(e, 0))
-            degree[u] = max(1, min(ext, remaining - 1)) \
-                if remaining > 1 else 0
+            eu = elem_nbrs[u]
+            nb = var_nbrs[u]
+            ext = adj_weight - weight[u]
+            for x in nb:
+                if alive[x]:
+                    ext += weight[x]
+            # Elements entirely covered by L_p (nothing outside) are
+            # absorbed; the rest add their part outside L_p.
+            dead_elems = []
+            for e in eu:
+                out = ext_of[e]
+                if out > 0:
+                    ext += out
+                elif out == 0:
+                    dead_elems.append(e)
+            for e in dead_elems:
+                eu.discard(e)
+                elem_vars.pop(e, None)
+                esz.pop(e, None)
+            if limit <= 0:
+                degree[u] = 0
+            elif ext >= limit:
+                degree[u] = limit
+            else:
+                degree[u] = ext if ext > 1 else 1
 
             # Supervariable detection: cheap exact signature on small
             # adjacencies (the common interior-of-mesh case).
-            if len(var_nbrs[u]) <= 8 and len(elem_nbrs[u]) <= 4:
-                sig = (frozenset(elem_nbrs[u]), frozenset(var_nbrs[u]))
+            if len(nb) <= 8 and len(eu) <= 4:
+                sig = (frozenset(eu), frozenset(nb))
                 twin = signature.get(sig)
                 if twin is not None and alive[twin] and twin != u:
+                    # twin has u's elements, so their sizes do not
+                    # change: u's weight moves onto twin.
                     members[twin].extend(members[u])
                     weight[twin] += weight[u]
                     alive[u] = False
-                    for e in elem_nbrs[u]:
+                    for e in eu:
                         if e in elem_vars:
                             elem_vars[e].discard(u)
-                    for x in var_nbrs[u]:
+                    for x in nb:
                         var_nbrs[x].discard(u)
-                    heapq.heappush(heap, (int(degree[twin]), twin))
+                    heapq.heappush(heap, degree[twin] * n + twin)
                     continue
                 signature[sig] = u
-            heapq.heappush(heap, (int(degree[u]), u))
+            heapq.heappush(heap, degree[u] * n + u)
 
     for _deg, v in sorted(deferred):
         order.extend(members[v])

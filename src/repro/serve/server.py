@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.numeric.cache import analysis_cache, pattern_digest
-from repro.numeric.solver import SparseSolver
+from repro.numeric.solver import SparseSolver, require_finite
 from repro.obs import telemetry
 from repro.obs.live import ExemplarRing
 from repro.obs.metrics import global_registry
@@ -159,9 +159,9 @@ class PatternWorker(threading.Thread):
     """One pattern's FIFO executor: a warm solver + a coalescing queue.
 
     Live counters (``served``/``batches``/``columns``/``last_batch_k``/
-    ``last_done``) are written only by the worker thread itself and read
-    lock-free by :meth:`snapshot`, so stats polling never contends with
-    the solve path.
+    ``refactorize_failures``/``last_done``) are written only by the
+    worker thread itself and read lock-free by :meth:`snapshot`, so
+    stats polling never contends with the solve path.
     """
 
     def __init__(self, pattern: str, server: "SolveServer") -> None:
@@ -184,6 +184,8 @@ class PatternWorker(threading.Thread):
         self.batches = 0
         self.columns = 0
         self.last_batch_k = 0
+        #: Rejected refactorizes (the solver kept its previous values).
+        self.refactorize_failures = 0
         self.created = time.perf_counter()
         self.last_done = self.created
 
@@ -221,6 +223,7 @@ class PatternWorker(threading.Thread):
             "batches": self.batches,
             "columns": self.columns,
             "last_batch_k": self.last_batch_k,
+            "refactorize_failures": self.refactorize_failures,
             "n": self.n,
             "idle_s": max(0.0, now - self.last_done),
             "age_s": max(0.0, now - self.created),
@@ -387,11 +390,14 @@ class PatternWorker(threading.Thread):
         if self.solver is None:
             raise RuntimeError(
                 f"pattern {self.pattern!r} has no factorization yet")
-        matrix = CSCMatrix(
-            self.matrix.n_rows, self.matrix.n_cols,
-            self.matrix.indptr, self.matrix.indices, ticket.data,
-        )
-        self.solver.refactorize(matrix)
+        try:
+            self.solver.refactorize(CSCMatrix(
+                self.matrix.n_rows, self.matrix.n_cols,
+                self.matrix.indptr, self.matrix.indices, ticket.data,
+            ))
+        except Exception:
+            self.refactorize_failures += 1
+            raise
         self.served += 1
         self.server.note_response(ticket, self.pattern)
         ticket.future.set_result({"pattern": self.pattern,
@@ -557,13 +563,14 @@ class SolveServer:
             b = b[:, None]
         if b.ndim != 2:
             raise ValueError("b must be a vector or an (n, k) array")
-        # Reject wrong-length b at submission: inside the worker the
-        # mismatch would surface mid-batch, where it is hard to
+        # Reject wrong-length or non-finite b at submission: inside the
+        # worker the error would surface mid-batch, where it is hard to
         # attribute and would fail the batch's co-riders too.
         if worker.n is not None and b.shape[0] != worker.n:
             raise ValueError(
                 f"b has {b.shape[0]} rows but pattern {pattern!r} is "
                 f"{worker.n}x{worker.n}")
+        require_finite(b, "right-hand side")
         global_registry().counter("serve.requests.solve").inc()
         return worker.submit(_Ticket(
             op="solve", b=b, vector=vector,
@@ -615,7 +622,8 @@ class SolveServer:
         worker_health = {
             pattern: {"alive": w.is_alive(),
                       "busy": w.busy,
-                      "queue_depth": w.queue_depth()}
+                      "queue_depth": w.queue_depth(),
+                      "refactorize_failures": w.refactorize_failures}
             for pattern, w in workers.items()
         }
         cache = analysis_cache()
@@ -766,7 +774,8 @@ class SolveServer:
             return protocol.ok_response(request_id, stopping=True)
         except Exception as exc:
             global_registry().counter("serve.errors").inc()
-            return protocol.error_response(request_id, str(exc))
+            return protocol.error_response(
+                request_id, f"{type(exc).__name__}: {exc}")
 
 
 # -- asyncio socket front end -------------------------------------------------

@@ -127,13 +127,19 @@ def symbolic_factorize(
     # permutation into the ordering: afterwards each supernode's columns
     # are contiguous and every parent immediately follows its last child,
     # which both the supernode detector and the amalgamation rely on.
+    # A postorder is a topological order of the tree, so the permuted
+    # matrix's etree is the same tree relabeled.
     with span("symbolic.etree"):
         parent = elimination_tree(analysis_pattern(permuted))
         post = postorder(parent)
         if not np.array_equal(post, np.arange(len(post))):
             perm = perm[post]
             permuted = matrix.permuted(perm)
-            parent = elimination_tree(analysis_pattern(permuted))
+            inv_post = np.empty_like(post)
+            inv_post[post] = np.arange(len(post))
+            old_parent = parent[post]
+            parent = np.where(old_parent < 0, old_parent,
+                              inv_post[old_parent])
     with span("symbolic.structure"):
         pattern = analysis_pattern(permuted)
         structs = column_structures(pattern, parent)

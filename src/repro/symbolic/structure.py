@@ -48,8 +48,20 @@ def column_structures(
         if len(pieces) == 1:
             structs[j] = pieces[0].astype(np.int64, copy=True)
         else:
-            structs[j] = np.unique(np.concatenate(pieces))
+            structs[j] = sorted_union(pieces)
     return structs  # type: ignore[return-value]
+
+
+def sorted_union(pieces: list[np.ndarray]) -> np.ndarray:
+    """Sorted union of index arrays: ``np.unique`` of their
+    concatenation, without its per-call overhead (this runs once per
+    column and once per supernode merge)."""
+    merged = np.concatenate(pieces)
+    merged.sort()
+    keep = np.empty(len(merged), dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def column_counts(matrix: CSCMatrix, parent: np.ndarray) -> np.ndarray:

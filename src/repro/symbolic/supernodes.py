@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.symbolic.structure import sorted_union
+
 
 @dataclass
 class Supernode:
@@ -125,53 +127,71 @@ def find_supernodes(
     # immediately preceding its parent's columns; fundamental supernode
     # numbering guarantees child index < parent index but not contiguity,
     # so check it.
-    merged = np.arange(n_sn)
+    merged = list(range(n_sn))
 
     def find(k: int) -> int:
         while merged[k] != k:
             merged[k] = merged[merged[k]]
-            k = int(merged[k])
+            k = merged[k]
         return k
 
     sn_cols = {k: (starts[k], ends[k]) for k in range(n_sn)}
     sn_rows = {k: structs[starts[k]].copy() for k in range(n_sn)}
+    parents = sn_parent.tolist()
+    # A merge test depends only on the two roots' column ranges and rows,
+    # which change only when a root absorbs a child (its version bumps),
+    # so a rejected (child root, parent root) pair stays rejected until
+    # then.
+    version = [0] * n_sn
+    rejected: set[tuple[int, int, int, int]] = set()
 
     # Merges cascade (absorbing the last child makes the previous sibling
-    # column-contiguous), so iterate to a fixpoint.
+    # column-contiguous), so iterate to a fixpoint.  A supernode already
+    # in its parent's group stays there, so later passes skip it.
+    active = [k for k in range(n_sn) if parents[k] >= 0]
     changed = True
     while changed:
         changed = False
-        for k in range(n_sn):
+        pending = []
+        for k in active:
             root_k = find(k)
-            p = sn_parent[k]
-            if p < 0:
-                continue
-            root_p = find(int(p))
+            root_p = find(parents[k])
             if root_p == root_k:
                 continue
+            pending.append(k)
             c0, c1 = sn_cols[root_k]
             p0, p1 = sn_cols[root_p]
             if c1 + 1 != p0:
                 continue  # not column-contiguous; cannot merge into one CSQ
-            merged_rows = np.unique(np.concatenate([sn_rows[root_k],
-                                                    sn_rows[root_p]]))
+            key = (root_k, root_p, version[root_k], version[root_p])
+            if key in rejected:
+                continue
+            rows_k, rows_p = sn_rows[root_k], sn_rows[root_p]
+            # The union is at least as long as either side, so a wide
+            # child can only be forced when both fronts fit force_small.
+            if (c1 - c0 + 1 > relax_small
+                    and max(len(rows_k), len(rows_p)) > force_small):
+                rejected.add(key)
+                continue
+            merged_rows = sorted_union([rows_k, rows_p])
             forced = len(merged_rows) <= force_small
             if not forced and c1 - c0 + 1 > relax_small:
+                rejected.add(key)
                 continue
-            exact = (
-                _front_entries(len(sn_rows[root_k]))
-                + _front_entries(len(sn_rows[root_p]))
-            )
+            exact = _front_entries(len(rows_k)) + _front_entries(len(rows_p))
             relaxed = _front_entries(len(merged_rows))
             if (not forced and relaxed > 0
                     and (relaxed - exact) / relaxed > relax_ratio):
+                rejected.add(key)
                 continue
             # Accept the merge: child absorbs into parent representative.
             merged[root_k] = root_p
+            version[root_p] += 1
             sn_cols[root_p] = (c0, p1)
             sn_rows[root_p] = merged_rows
             del sn_cols[root_k], sn_rows[root_k]
             changed = True
+        active = pending
 
     # Step 4: renumber surviving supernodes in column order (still a valid
     # postorder-compatible order because children columns precede parents'),

@@ -450,6 +450,36 @@ class TestSolveServer:
         # factoring them again leaves later answers unchanged.
         server._workers[pattern].solver.factorize()
         assert np.array_equal(server.solve(pattern, b), reference.solve(b))
+        # The failure is visible per pattern and as a numeric error.
+        assert server.health()["workers"][pattern][
+            "refactorize_failures"] == 1
+        assert server.stats()["workers"][pattern][
+            "refactorize_failures"] == 1
+        assert global_registry().value("numeric.errors.refactorize") == 1
+
+    def test_non_finite_input_names_the_error(self, server):
+        matrix = grid_laplacian_2d(6, seed=23)
+        pattern = server.factor(matrix)["pattern"]
+        b = _rhs(matrix, seed=24)
+        bad_b = b.copy()
+        bad_b[2] = np.inf
+        response = server.handle({"op": "solve", "id": 1,
+                                  "pattern": pattern,
+                                  "b": bad_b.tolist()})
+        assert response["ok"] is False
+        assert "NonFiniteInputError" in response["error"]
+        bad_data = matrix.data.copy()
+        bad_data[0] = np.nan
+        response = server.handle({"op": "refactorize", "id": 2,
+                                  "pattern": pattern,
+                                  "data": bad_data.tolist()})
+        assert response["ok"] is False
+        assert "NonFiniteInputError" in response["error"]
+        assert server.health()["workers"][pattern][
+            "refactorize_failures"] == 1
+        # The pattern keeps answering for its accepted values.
+        reference = SparseSolver(matrix, rhs_pad=8)
+        assert np.array_equal(server.solve(pattern, b), reference.solve(b))
 
 
 # -- socket front end -----------------------------------------------------

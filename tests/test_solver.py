@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.numeric import SparseSolver
+from repro.numeric import NonFiniteInputError, SparseSolver
+from repro.obs.metrics import global_registry
 from repro.sparse import (
     circuit_like,
     grid_laplacian_2d,
@@ -120,6 +121,7 @@ class TestRefactorize:
                              -accepted.data)
         with pytest.raises(ValueError, match="non-SPD pivot"):
             solver.refactorize(rejected)
+        assert global_registry().value("numeric.errors.refactorize") == 1
         fresh = SparseSolver(accepted, workers=workers, use_cache=False)
         b = rng.standard_normal(accepted.n_rows)
         assert np.array_equal(solver.solve(b), fresh.solve(b))
@@ -127,6 +129,44 @@ class TestRefactorize:
         # factoring them again succeeds and changes nothing.
         solver.factorize()
         assert np.array_equal(solver.solve(b), fresh.solve(b))
+
+
+class TestNonFiniteInput:
+    def test_nan_lu_values_rejected_at_construction(self):
+        matrix = circuit_like(64, seed=4)
+        matrix.data[3] = np.nan
+        with pytest.raises(NonFiniteInputError, match="matrix values"):
+            SparseSolver(matrix, kind="lu")
+        assert global_registry().value("numeric.errors.non_finite") == 1
+
+    def test_inf_rhs_rejected(self, rng, spd_small):
+        solver = SparseSolver(spd_small)
+        b = rng.standard_normal(spd_small.n_rows)
+        b[5] = np.inf
+        with pytest.raises(NonFiniteInputError, match="right-hand side"):
+            solver.solve(b)
+        panel = rng.standard_normal((spd_small.n_rows, 3))
+        panel[0, 2] = -np.inf
+        with pytest.raises(NonFiniteInputError):
+            solver.solve(panel)
+
+    def test_error_is_a_value_error(self):
+        assert issubclass(NonFiniteInputError, ValueError)
+
+    @pytest.mark.parametrize("kind", ["cholesky", "lu"])
+    def test_nan_refactorize_keeps_previous_pair(self, rng, kind):
+        accepted = grid_laplacian_2d(8, seed=5)
+        solver = SparseSolver(accepted, kind=kind, use_cache=False)
+        b = rng.standard_normal(accepted.n_rows)
+        before = solver.solve(b)
+        data = accepted.data * 2.0
+        data[-1] = np.nan
+        with pytest.raises(NonFiniteInputError):
+            solver.refactorize(CSCMatrix(accepted.n_rows, accepted.n_cols,
+                                         accepted.indptr, accepted.indices,
+                                         data))
+        assert np.array_equal(solver.solve(b), before)
+        assert global_registry().value("numeric.errors.refactorize") == 1
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ from repro.symbolic.structure import (
     column_structures,
     factor_nnz,
     lu_flops_from_counts,
+    sorted_union,
 )
 from repro.symbolic.supernodes import find_supernodes
 
@@ -67,6 +68,15 @@ class TestColumnStructures:
         dense[0, 30] = dense[30, 0] = -0.5
         richer = CSCMatrix.from_dense(dense)
         assert factor_nnz(richer, elimination_tree(richer)) >= base
+
+    def test_sorted_union_matches_unique(self, rng):
+        for size in (1, 2, 7, 40):
+            pieces = [np.unique(rng.integers(0, 60, size))
+                      for _ in range(3)]
+            want = np.unique(np.concatenate(pieces))
+            got = sorted_union(pieces)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestFlopFormulas:
