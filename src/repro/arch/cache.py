@@ -67,6 +67,10 @@ class BankedCache:
         self.n_banks = config.cache_banks
         self.n_sets = config.cache_sets_per_bank
         self.ways = config.cache_ways
+        # Derived config values, read once (every access uses them).
+        self._tile_bytes = config.tile_bytes
+        self._bank_cycles = config.bank_transfer_cycles
+        self._n_channels = config.hbm_channels
         # sets[bank][set] maps address -> dirty flag, in LRU order
         # (oldest first).
         self._sets: list[list[OrderedDict[int, bool]]] = [
@@ -93,20 +97,20 @@ class BankedCache:
         return (addr // self.n_banks) % self.n_sets
 
     def channel_of(self, addr: int) -> int:
-        return self.bank_of(addr) % self.config.hbm_channels
+        return self.bank_of(addr) % self._n_channels
 
     # -- internals ------------------------------------------------------------
 
     def _reserve_bank(self, bank: int, cycle: int) -> int:
         start = max(cycle, self._bank_free[bank])
         self.stats.bank_wait_cycles += start - cycle
-        self._bank_free[bank] = start + self.config.bank_transfer_cycles
+        self._bank_free[bank] = start + self._bank_cycles
         return start
 
     def _reserve_bank_write(self, bank: int, cycle: int) -> int:
         start = max(cycle, self._bank_wfree[bank])
         self.stats.bank_wait_cycles += start - cycle
-        self._bank_wfree[bank] = start + self.config.bank_transfer_cycles
+        self._bank_wfree[bank] = start + self._bank_cycles
         return start
 
     def _touch(self, bank: int, set_idx: int, addr: int,
@@ -135,19 +139,17 @@ class BankedCache:
         set_idx = self.set_of(addr)
         lines = self._sets[bank][set_idx]
         start = self._reserve_bank(bank, cycle)
-        self.stats.bytes_accessed += self.config.tile_bytes
+        self.stats.bytes_accessed += self._tile_bytes
         if addr in lines:
             self.stats.hits += 1
             self._touch(bank, set_idx, addr, None)
-            return start + self.config.cache_hit_latency \
-                + self.config.bank_transfer_cycles
+            return start + self.config.cache_hit_latency + self._bank_cycles
         if addr not in self._seen:
             # First touch: allocate zero-filled, no DRAM read.
             self._seen.add(addr)
             self.stats.allocations += 1
             self._install(bank, set_idx, addr, dirty=False, cycle=start)
-            return start + self.config.cache_hit_latency \
-                + self.config.bank_transfer_cycles
+            return start + self.config.cache_hit_latency + self._bank_cycles
         # Genuine miss: fetch from the bank's HBM channel, subject to
         # MSHR availability (up to 256 concurrent misses, Table 2).
         self.stats.misses += 1
@@ -161,7 +163,7 @@ class BankedCache:
         fill = self.hbm.read_line(self.channel_of(addr), tag_done, miss_kind)
         heapq.heappush(self._inflight, fill)
         self._install(bank, set_idx, addr, dirty=False, cycle=fill)
-        return fill + self.config.bank_transfer_cycles
+        return fill + self._bank_cycles
 
     def store(self, addr: int, cycle: int) -> int:
         """Write a tile back from a PE (write-allocate, write-back)."""
@@ -170,13 +172,13 @@ class BankedCache:
         lines = self._sets[bank][set_idx]
         start = self._reserve_bank_write(bank, cycle)
         self.stats.stores += 1
-        self.stats.bytes_accessed += self.config.tile_bytes
+        self.stats.bytes_accessed += self._tile_bytes
         self._seen.add(addr)
         if addr in lines:
             self._touch(bank, set_idx, addr, dirty=True)
         else:
             self._install(bank, set_idx, addr, dirty=True, cycle=start)
-        return start + self.config.bank_transfer_cycles
+        return start + self._bank_cycles
 
     # -- end-of-run flush ------------------------------------------------------
 

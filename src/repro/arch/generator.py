@@ -32,6 +32,7 @@ class Generator:
     sn: int
     graph: SupernodeTaskGraph
     window: int = 1
+    n_tasks: int = field(init=False)
     head: int = 0
     n_done: int = 0
     n_dispatched: int = 0
@@ -42,7 +43,7 @@ class Generator:
     pe_binding: int = -1  # for the "inter" policy: tasks go only here
 
     def __post_init__(self) -> None:
-        n = self.graph.n_tasks
+        n = self.n_tasks = self.graph.n_tasks
         self.indegree = [len(d) for d in self.graph.deps]
         self.dependents = [[] for _ in range(n)]
         for t, deps in enumerate(self.graph.deps):
@@ -51,32 +52,35 @@ class Generator:
         self.dispatched = [False] * n
 
     @property
-    def n_tasks(self) -> int:
-        return self.graph.n_tasks
-
-    @property
     def done(self) -> bool:
-        return self.n_done == self.graph.n_tasks
+        return self.n_done == self.n_tasks
 
     def ready_tasks(self) -> list[int]:
         """Dispatchable task indices under the in-order / windowed rule."""
-        self._advance_head()
+        if self.window == 1:
+            # Strict in-order: the head (the oldest undispatched task,
+            # kept current by mark_dispatched) is the only candidate.
+            t = self.head
+            return [t] if t < self.n_tasks and self.indegree[t] == 0 \
+                else []
+        return self._scan_window()
+
+    def _scan_window(self) -> list[int]:
+        """The ready tasks among the first ``window`` undispatched ones."""
         ready: list[int] = []
         scanned = 0
         t = self.head
-        n = self.graph.n_tasks
+        n = self.n_tasks
         while t < n and scanned < self.window:
             if not self.dispatched[t]:
                 scanned += 1
                 if self.indegree[t] == 0:
                     ready.append(t)
-                elif self.window == 1:
-                    break  # strict in-order: blocked head blocks the stream
             t += 1
         return ready
 
     def _advance_head(self) -> None:
-        n = self.graph.n_tasks
+        n = self.n_tasks
         while self.head < n and self.dispatched[self.head]:
             self.head += 1
 

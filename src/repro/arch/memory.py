@@ -38,26 +38,29 @@ class HBMModel:
         self.channel_free = [0] * self.config.hbm_channels
         self.bytes_by_kind = {k: 0 for k in TRAFFIC_KINDS}
         self.bytes_by_channel = [0] * self.config.hbm_channels
+        # Derived config values, read once (every line transfer uses them).
+        self._line_cycles = self.config.hbm_line_cycles
+        self._line_bytes = self.config.tile_bytes
 
     def read_line(self, channel: int, cycle: int, kind: str) -> int:
         """Issue a line read; returns the cycle data is available."""
-        occupancy = self.config.hbm_line_cycles
+        occupancy = self._line_cycles
         start = max(cycle, self.channel_free[channel])
         done = start + self.config.hbm_latency + occupancy
         self.channel_free[channel] = start + occupancy
         self.channel_wait_cycles += start - cycle
-        self.bytes_by_kind[kind] += self.config.tile_bytes
-        self.bytes_by_channel[channel] += self.config.tile_bytes
+        self.bytes_by_kind[kind] += self._line_bytes
+        self.bytes_by_channel[channel] += self._line_bytes
         return done
 
     def write_line(self, channel: int, cycle: int, kind: str) -> int:
         """Issue a line write-back; returns when the channel accepts it."""
-        occupancy = self.config.hbm_line_cycles
+        occupancy = self._line_cycles
         start = max(cycle, self.channel_free[channel])
         self.channel_free[channel] = start + occupancy
         self.channel_wait_cycles += start - cycle
-        self.bytes_by_kind[kind] += self.config.tile_bytes
-        self.bytes_by_channel[channel] += self.config.tile_bytes
+        self.bytes_by_kind[kind] += self._line_bytes
+        self.bytes_by_channel[channel] += self._line_bytes
         return start + occupancy
 
     def read_bulk(self, n_bytes: int, cycle: int, kind: str) -> int:

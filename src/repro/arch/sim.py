@@ -78,6 +78,10 @@ class SpatulaSim:
         self.matrix_name = matrix_name
         self.executor = executor
         self.trace: list | None = [] if trace else None
+        # Task-graph dependences of each retired supernode, kept only when
+        # tracing so attribution's critical path need not rebuild them.
+        self._sn_deps: dict[int, list[list[int]]] | None = \
+            {} if trace else None
 
         cfg = self.config
         self.hbm = HBMModel(cfg)
@@ -107,6 +111,12 @@ class SpatulaSim:
         self._now = 0
         # Earliest outstanding pe_try wakeup per PE (dedupe guard).
         self._pe_wake: list[int | None] = [None] * cfg.n_pes
+
+        # Machine-wide free task slots (the sum of every PE's slots_free):
+        # taken in _dispatch, returned when a task starts executing.
+        self._free_slots = cfg.n_pes * cfg.task_slots
+        # A derived config value, read once (every dispatch uses it).
+        self._tile_transfer_cycles = cfg.tile_transfer_cycles
 
         # Resources with busy-until semantics.
         self._dispatcher_free = 0
@@ -237,6 +247,8 @@ class SpatulaSim:
         self._track_peak_footprint()
         self._gen_peak_outstanding.append(gen.peak_outstanding)
         del self.gens[gen.sn]
+        if self._sn_deps is not None:
+            self._sn_deps[gen.sn] = gen.graph.deps
         if gen.pe_binding >= 0:
             self._free_pe_bindings.append(gen.pe_binding)
         self._sn_intervals.append((self._sn_started[gen.sn], cycle))
@@ -245,17 +257,22 @@ class SpatulaSim:
     # -- dispatch --------------------------------------------------------------
 
     def _pick_pe(self, gen: Generator) -> PE | None:
+        """The PE for ``gen``'s next task: its bound PE under ``inter``;
+        otherwise the PE with the most free slots, then the earliest-free
+        array, then the lowest index.  None when no eligible PE has a
+        free slot."""
         if gen.pe_binding >= 0:
             pe = self.pes[gen.pe_binding]
-            return pe if pe.slots_free > 0 else None
+            return pe if pe.n_slots > len(pe.pending) else None
         best: PE | None = None
+        best_free = 0
         for pe in self.pes:
-            if pe.slots_free <= 0:
-                continue
-            if best is None or (pe.slots_free, -pe.array_free) > (
-                best.slots_free, -best.array_free
+            free = pe.n_slots - len(pe.pending)
+            if free > best_free or (
+                free == best_free and free > 0
+                and pe.array_free < best.array_free
             ):
-                best = pe
+                best, best_free = pe, free
         return best
 
     def _dispatch(self, gen: Generator, task_index: int, pe: PE,
@@ -265,19 +282,19 @@ class SpatulaSim:
         self._dispatcher_free = t0 + cfg.dispatch_interval
         task = gen.graph.tasks[task_index]
         gen.mark_dispatched(task_index)
+        self._free_slots -= 1
 
         miss_kind = (
             "gather_load" if task.ttype is TaskType.GATHER else "factor_load"
         )
+        transfer = self._tile_transfer_cycles
         done_times: list[int] = []
         for ref in task_input_tiles(task):
             ready = self.cache.load(self._addr(ref), t0, miss_kind)
-            done_times.append(
-                pe.reserve_port(ready, cfg.tile_transfer_cycles)
-            )
+            done_times.append(pe.reserve_port(ready, transfer))
         # Runnable once the destination tile and the first input pair have
         # arrived; the remaining inputs stream through the FIFO.
-        lead = max(done_times[: min(3, len(done_times))])
+        lead = max(done_times[:3])
         item = PendingTask(
             gen_sn=gen.sn,
             task_index=task_index,
@@ -303,22 +320,26 @@ class SpatulaSim:
             self._activate(sn, now)
             self._next_activation = now + cfg.activation_interval
 
-        # Dispatch: biased toward older (smaller-index) supernodes.
-        while True:
-            dispatched = False
-            for sn in sorted(self.gens):
-                gen = self.gens[sn]
-                for task_index in gen.ready_tasks():
-                    pe = self._pick_pe(gen)
-                    if pe is None:
-                        break
-                    self._dispatch(gen, task_index, pe, now)
-                    dispatched = True
+        # Dispatch, biased toward older (smaller-index) supernodes: each
+        # dispatch goes to the oldest generator with a ready task and an
+        # eligible PE.  One ascending pass finds the same sequence, since
+        # a dispatch never readies an older generator's task, and under
+        # intra+inter / intra an older generator skipped for want of a PE
+        # means no PE had a slot.  Under inter each generator owns its PE,
+        # so a full PE skips only its own generator.
+        if self._free_slots == 0:
+            return
+        for sn in sorted(self.gens):
+            gen = self.gens[sn]
+            ready = gen.ready_tasks()
+            while ready:
+                pe = self._pick_pe(gen)
+                if pe is None:
                     break
-                if dispatched:
-                    break
-            if not dispatched:
-                break
+                self._dispatch(gen, ready[0], pe, now)
+                if self._free_slots == 0:
+                    return
+                ready = gen.ready_tasks()
 
     # -- event handlers -----------------------------------------------------------
 
@@ -339,6 +360,7 @@ class SpatulaSim:
             return
         task = self.gens[item.gen_sn].graph.tasks[item.task_index]
         end = pe.start_execution(item, now, task.ttype)
+        self._free_slots += 1
         if self.trace is not None:
             from repro.arch.trace import TraceEvent
 
@@ -358,9 +380,7 @@ class SpatulaSim:
         gen = self.gens[gen_sn]
         task = gen.graph.tasks[task_index]
         # Write the destination tile back to the cache (write direction).
-        port_done = pe.reserve_write_port(
-            now, self.config.tile_transfer_cycles
-        )
+        port_done = pe.reserve_write_port(now, self._tile_transfer_cycles)
         wb_done = self.cache.store(self._addr(task.dest), port_done)
         self._schedule(wb_done, "task_final",
                        (pe_index, gen_sn, task_index))
@@ -492,7 +512,8 @@ class SpatulaSim:
             self._sn_intervals, self.metrics,
         )
         path = critical_path(self.trace, self.plan,
-                             order=self.config.order)
+                             order=self.config.order,
+                             graph_deps=self._sn_deps)
         return {
             "cycles": accounting.to_dict(),
             "critical_path": path.to_dict(),

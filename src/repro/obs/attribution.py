@@ -481,7 +481,9 @@ class CriticalPath:
         return "\n".join(lines)
 
 
-def critical_path(events: list, plan, order: str = "bf") -> CriticalPath:
+def critical_path(events: list, plan, order: str = "bf",
+                  graph_deps: dict[int, list[list[int]]] | None = None
+                  ) -> CriticalPath:
     """Extract the longest weighted dependence chain of an executed run.
 
     Dependences joined per event: the intra-supernode edges of
@@ -489,6 +491,8 @@ def critical_path(events: list, plan, order: str = "bf") -> CriticalPath:
     intra deps) — the last-retiring event of each child supernode (the
     scheduler launches a supernode only after its children fully factor,
     so the edge is always respected by the executed timeline).
+    ``graph_deps[sn]``, when given, is that graph's ``deps`` as the run
+    kept it, which spares rebuilding the graph.
 
     The returned ``cp_cycles`` is a guaranteed lower bound on the
     observed makespan: every successor's start is >= all its
@@ -499,9 +503,9 @@ def critical_path(events: list, plan, order: str = "bf") -> CriticalPath:
         return CriticalPath(cp_cycles=0, total_cycles=0, steps=[])
     by_key = {(e.sn, e.task_index): e for e in events}
     sns = sorted({e.sn for e in events})
-    deps_of: dict[int, list[list[int]]] = {
-        sn: plan.task_graph(sn, order=order).deps for sn in sns
-    }
+    if graph_deps is None:
+        graph_deps = {sn: plan.task_graph(sn, order=order).deps
+                      for sn in sns}
     last_of_sn: dict[int, object] = {}
     for e in events:
         last = last_of_sn.get(e.sn)
@@ -514,7 +518,7 @@ def critical_path(events: list, plan, order: str = "bf") -> CriticalPath:
     }
 
     def deps(e) -> list:
-        intra = [by_key[(e.sn, d)] for d in deps_of[e.sn][e.task_index]
+        intra = [by_key[(e.sn, d)] for d in graph_deps[e.sn][e.task_index]
                  if (e.sn, d) in by_key]
         if intra:
             return intra

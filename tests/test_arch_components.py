@@ -1,6 +1,8 @@
 """Unit tests for simulator components: config, timing, memory system,
 NoC, PEs, generators, and the supernode scheduler."""
 
+import random
+
 import pytest
 
 from repro.arch.cache import BankedCache
@@ -10,10 +12,12 @@ from repro.arch.memory import HBMModel, TRAFFIC_KINDS
 from repro.arch.noc import CrossbarPort, aggregate_bandwidth_tbs
 from repro.arch.pe import PE, PendingTask
 from repro.arch.scheduler import SupernodeScheduler
+from repro.arch.sim import SpatulaSim
 from repro.arch.systolic import task_input_tiles, task_latency
 from repro.symbolic import symbolic_factorize
 from repro.symbolic.tiling import TileGrid
 from repro.tasks.graph import build_task_graph
+from repro.tasks.plan import build_plan
 from repro.tasks.task import Task, TaskType, TileRef
 
 
@@ -299,6 +303,95 @@ class TestGenerator:
             gen.on_complete(t)
             order.append(t)
         assert order == list(range(gen.n_tasks))
+
+
+def windowed_ready_reference(gen):
+    """The windowed ready scan as written before the window == 1 fast
+    path: skip dispatched tasks from the head, stop after ``window``
+    undispatched ones, and stop at a blocked task when ``window == 1``."""
+    gen._advance_head()
+    ready = []
+    scanned = 0
+    t = gen.head
+    while t < gen.n_tasks and scanned < gen.window:
+        if not gen.dispatched[t]:
+            scanned += 1
+            if gen.indegree[t] == 0:
+                ready.append(t)
+            elif gen.window == 1:
+                break
+        t += 1
+    return ready
+
+
+class TestReadyTasks:
+    """``Generator.ready_tasks`` against the general windowed scan while a
+    random schedule dispatches and completes tasks."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_windowed_scan_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        tile = rng.choice([2, 4])
+        n_pivot = rng.randint(1, 14)
+        grid = TileGrid(front_size=n_pivot + rng.randint(0, 10),
+                        n_pivot_cols=n_pivot, tile=tile,
+                        supertile=rng.choice([2, 3, 4]))
+        graph = build_task_graph(0, grid, rng.choice(["cholesky", "lu"]),
+                                 order=rng.choice(["bf", "rowmajor"]))
+        for window in (1, 2, 5):
+            gen = Generator(sn=0, graph=graph, window=window)
+            outstanding = []
+            while not gen.done:
+                ready = gen.ready_tasks()
+                assert ready == windowed_ready_reference(gen)
+                if window == 1:
+                    assert ready == gen._scan_window()
+                if ready and (not outstanding or rng.random() < 0.6):
+                    t = rng.choice(ready)
+                    gen.mark_dispatched(t)
+                    outstanding.append(t)
+                else:
+                    assert outstanding, "generator deadlocked"
+                    t = outstanding.pop(rng.randrange(len(outstanding)))
+                    gen.on_complete(t)
+            assert gen.ready_tasks() == windowed_ready_reference(gen) == []
+
+
+class _SlotAuditSim(SpatulaSim):
+    """Checks the machine-wide free-slot count after every event (a
+    ``task_final`` event ends in a pump)."""
+
+    def _audit(self):
+        assert self._free_slots == sum(pe.slots_free for pe in self.pes)
+        self.audits += 1
+
+    def _pump(self, now):
+        super()._pump(now)
+        self._audit()
+
+    def _on_pe_try(self, pe_index, now):
+        super()._on_pe_try(pe_index, now)
+        self._audit()
+
+    def _on_exec_done(self, payload, now):
+        super()._on_exec_done(payload, now)
+        self._audit()
+
+
+class TestFreeSlotCount:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"policy": "intra"}, {"policy": "inter"},
+        {"dataflow_window": 4}, {"n_pes": 1},
+    ], ids=["intra+inter", "intra", "inter", "window4", "pes1"])
+    def test_equals_sum_of_pe_slots(self, spd_medium, overrides):
+        cfg = SpatulaConfig.tiny(**overrides)
+        plan = build_plan(symbolic_factorize(spd_medium), tile=cfg.tile,
+                          supertile=cfg.supertile)
+        sim = _SlotAuditSim(plan, cfg)
+        sim.audits = 0
+        report = sim.run()
+        assert sim.audits > report.n_tasks
+        assert sim._free_slots == cfg.n_pes * cfg.task_slots
 
 
 class TestSupernodeScheduler:

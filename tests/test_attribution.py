@@ -125,6 +125,26 @@ class TestCriticalPath:
             cp = sim.attribution()["critical_path"]
             assert cp["cp_cycles"] <= report.cycles, spec.name
 
+    def test_kept_graph_deps_match_rebuilt_graphs(self, medium_run):
+        # attribution() hands the traced run's retained task-graph deps to
+        # critical_path; rebuilding every graph must give the same path.
+        from repro.obs.attribution import critical_path
+
+        sim, _, att = medium_run
+        assert set(sim._sn_deps) == set(range(sim.plan.n_supernodes))
+        rebuilt = critical_path(sim.trace, sim.plan, order=sim.config.order)
+        assert rebuilt.to_dict() == att["critical_path"]
+
+    def test_untraced_run_keeps_no_graph_deps(self):
+        from repro.sparse import grid_laplacian_3d
+
+        cfg = SpatulaConfig.tiny()
+        symbolic = symbolic_factorize(grid_laplacian_3d(3, seed=1))
+        plan = build_plan(symbolic, tile=cfg.tile, supertile=cfg.supertile)
+        sim = SpatulaSim(plan, cfg)
+        sim.run()
+        assert sim._sn_deps is None
+
     def test_path_is_a_dependence_chain(self, medium_run):
         _, _, att = medium_run
         steps = att["critical_path"]["steps"]

@@ -165,6 +165,28 @@ class TestDifferential:
         assert result.failed
         assert result.outcome == "rejected"
 
+    def test_simulator_check_compares_pe_counts(self, monkeypatch):
+        # A simulator whose task count depends on the PE count must be
+        # reported: the check really runs a 1-PE machine beside tiny().
+        from repro.arch.config import SpatulaConfig
+        from repro.arch.sim import SpatulaSim
+        from repro.verify.differential import _check_simulators
+
+        case = build_case("spd_random", seed=3, max_n=24)
+        assert _check_simulators(case) is None
+        real_run = SpatulaSim.run
+
+        def run(self):
+            report = real_run(self)
+            if self.config.n_pes == 1:
+                report.n_tasks += 1
+            return report
+
+        monkeypatch.setattr(SpatulaSim, "run", run)
+        detail = _check_simulators(case)
+        assert detail is not None and "depends on PE count" in detail
+        assert f"at {SpatulaConfig.tiny().n_pes} PEs" in detail
+
     def test_equivalent_axes_groups_numeric_mismatches(self):
         group = equivalent_axes({"ordering"})
         assert "oracle" in group and "workers" in group
