@@ -2,20 +2,23 @@
 """Performance smoke benchmark for the blocked numeric engine.
 
 Times the three numeric-phase operations — ``factorize`` (cold),
-``refactorize`` (warm pattern), and ``solve`` (single vector and a
-32-column panel) — on two suite matrices, comparing the blocked
-engine against a faithful re-implementation of the
-pre-engine baseline (COO-round-trip permutation, per-entry Python front
-assembly, per-pivot dense kernels with full trailing updates).
+``refactorize`` (warm pattern), and ``solve`` (single vector, a
+32-column panel, and the same 32 columns one at a time) — on two suite
+matrices.
 
 Writes ``BENCH_numeric.json`` with the schema::
 
     {"schema": 1,
-     "matrices": {name: {"n": ..., "kind": ...,
+     "panel_width": 32,
+     "matrices": {name: {"n": ..., "kind": ..., "scale": ...,
                          "ops": {op: {"seconds": s, "flops_per_s": f}},
-                         "speedups": {"refactorize": x, "multi_rhs": x},
-                         "max_factor_rel_err": e}},
-     "cache": {"hits": ..., "misses": ...}}
+                         "speedups": {"multi_rhs": x}}},
+     "cache": {"matrix": ..., "hits": ..., "misses": ...,
+               "cold_seconds": s, "warm_seconds": s}}
+
+where ``op`` is one of ``factorize_cold``, ``refactorize``, ``solve``,
+``solve_panel_32`` and ``solve_percolumn_32``.  With ``--sched-only``
+the file instead holds ``"dag_sweep"`` (serial vs DAG refactorize).
 
 Run as ``PYTHONPATH=src python benchmarks/perf_smoke.py``.  Not a pytest
 bench: this is the fast CI smoke artifact (non-gating).
@@ -30,91 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.cli import ObsSession
 from repro.numeric.cache import analysis_cache
 from repro.numeric.solver import SparseSolver
 from repro.obs.metrics import global_registry
 from repro.ordering.pivoting import apply_static_pivoting
 from repro.sparse.suite import get_matrix
 from repro.symbolic.analyze import symbolic_factorize
-from repro.symbolic.assembly import (
-    initial_front_values,
-    initial_front_values_lu,
-)
-from repro.symbolic.csq import CSQMatrix
 
 PANEL_WIDTH = 32
-
-
-# -- the pre-engine baseline, reproduced verbatim ------------------------------
-# Per-pivot kernels with full trailing-square updates, dict-of-CSQ
-# extend-add, and per-entry Python front assembly: the numeric path this
-# engine replaced.  Kept here (not in src/) purely as the speedup baseline.
-
-
-def _legacy_partial_cholesky(f: np.ndarray, n_pivots: int) -> None:
-    for i in range(n_pivots):
-        pivot = f[i, i]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise ValueError(f"non-SPD pivot {pivot} at front position {i}")
-        f[i, i] = np.sqrt(pivot)
-        if i + 1 < f.shape[0]:
-            f[i + 1:, i] /= f[i, i]
-            f[i + 1:, i + 1:] -= np.outer(f[i + 1:, i], f[i + 1:, i])
-
-
-def _legacy_partial_lu(f: np.ndarray, n_pivots: int, perturb: float) -> None:
-    for k in range(n_pivots):
-        pivot = f[k, k]
-        if abs(pivot) < perturb:
-            pivot = perturb if pivot >= 0 else -perturb
-            f[k, k] = pivot
-        if pivot == 0.0:
-            raise ValueError(f"zero pivot at front position {k}")
-        if k + 1 < f.shape[0]:
-            f[k + 1:, k] /= f[k, k]
-            f[k + 1:, k + 1:] -= np.outer(f[k + 1:, k], f[k, k + 1:])
-
-
-def legacy_cholesky(matrix, symbolic):
-    permuted = matrix.permuted(symbolic.perm)
-    tree = symbolic.tree
-    updates: dict[int, CSQMatrix] = {}
-    columns = []
-    for sn in tree.supernodes:
-        front = CSQMatrix(sn.rows, initial_front_values(permuted, sn))
-        for child in sn.children:
-            front.extend_add(updates.pop(child))
-        _legacy_partial_cholesky(front.values, sn.n_cols)
-        columns.append((sn.rows.copy(),
-                        np.tril(front.values)[:, : sn.n_cols].copy()))
-        if sn.parent >= 0 and sn.n_update_rows > 0:
-            update = front.submatrix(sn.n_cols)
-            update.values = np.tril(update.values)
-            update.values += np.tril(update.values, -1).T
-            updates[sn.index] = update
-    return columns
-
-
-def legacy_lu(matrix, symbolic):
-    permuted = matrix.permuted(symbolic.perm)
-    permuted_csr = permuted.transpose()
-    amax = float(np.abs(permuted.data).max()) if permuted.nnz else 1.0
-    perturb = np.sqrt(np.finfo(np.float64).eps) * amax
-    tree = symbolic.tree
-    updates: dict[int, CSQMatrix] = {}
-    fronts = []
-    for sn in tree.supernodes:
-        front = CSQMatrix(
-            sn.rows, initial_front_values_lu(permuted, permuted_csr, sn))
-        for child in sn.children:
-            front.extend_add(updates.pop(child))
-        _legacy_partial_lu(front.values, sn.n_cols, perturb)
-        fronts.append((sn.rows.copy(),
-                       np.tril(front.values)[:, : sn.n_cols].copy(),
-                       np.triu(front.values)[: sn.n_cols, :].copy()))
-        if sn.parent >= 0 and sn.n_update_rows > 0:
-            updates[sn.index] = front.submatrix(sn.n_cols)
-    return fronts
 
 
 # -- measurement ---------------------------------------------------------------
@@ -127,11 +54,6 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    scale = float(np.max(np.abs(b))) or 1.0
-    return float(np.max(np.abs(a - b))) / scale
 
 
 def bench_matrix(name: str, kind: str, scale: float, repeats: int) -> dict:
@@ -160,22 +82,6 @@ def bench_matrix(name: str, kind: str, scale: float, repeats: int) -> dict:
     t_new = _best_of(lambda: solver.refactorize(refreshed), repeats)
     ops["refactorize"] = {"seconds": t_new, "flops_per_s": flops / t_new}
 
-    # The pre-engine baseline of the same refactorization.
-    legacy = legacy_cholesky if kind == "cholesky" else legacy_lu
-    t0 = time.perf_counter()
-    legacy_factor = legacy(work, symbolic)
-    t_old = time.perf_counter() - t0
-    ops["refactorize_legacy"] = {"seconds": t_old,
-                                 "flops_per_s": flops / t_old}
-
-    # The two implementations must agree to ~1e-10 relative.
-    blocked = (solver._chol.columns if kind == "cholesky"
-               else solver._lu.fronts)
-    err = max(
-        max(_rel_err(old, new) for old, new in zip(legs[1:], news[1:]))
-        for legs, news in zip(legacy_factor, blocked)
-    )
-
     rng = np.random.default_rng(0)
     b1 = rng.standard_normal(n)
     t_solve = _best_of(lambda: solver.solve(b1), repeats)
@@ -196,20 +102,15 @@ def bench_matrix(name: str, kind: str, scale: float, repeats: int) -> dict:
         "flops_per_s": PANEL_WIDTH * solve_flops / t_cols,
     }
 
-    speedups = {
-        "refactorize": t_old / t_new,
-        "multi_rhs": t_cols / t_panel,
-    }
+    speedups = {"multi_rhs": t_cols / t_panel}
     for op, rec in ops.items():
         rate = rec["flops_per_s"]
         rate_s = f"{rate / 1e9:8.3f} GFLOP/s" if rate else " " * 16
         print(f"  {op:<24}{rec['seconds'] * 1e3:>10.1f} ms  {rate_s}")
-    print(f"  refactorize speedup {speedups['refactorize']:.1f}x, "
-          f"multi-RHS (k={PANEL_WIDTH}) speedup "
-          f"{speedups['multi_rhs']:.1f}x, "
-          f"factor rel err {err:.1e}")
+    print(f"  multi-RHS (k={PANEL_WIDTH}) speedup "
+          f"{speedups['multi_rhs']:.1f}x")
     return {"n": n, "kind": kind, "scale": scale, "ops": ops,
-            "speedups": speedups, "max_factor_rel_err": err}
+            "speedups": speedups}
 
 
 def bench_dag_sweep(workers: int, scale: float, repeats: int,
@@ -326,7 +227,7 @@ def main() -> int:
                         help="DAG worker count for the --sched-only sweep")
     parser.add_argument("--sched-only", action="store_true",
                         help="run only the serial-vs-DAG sweep (records "
-                             "numeric.speedup.dag), skipping the baseline "
+                             "numeric.speedup.dag), skipping the matrix "
                              "benches")
     parser.add_argument("--history", metavar="DIR", default=None,
                         help="append the sweep artifact to this "
@@ -337,19 +238,7 @@ def main() -> int:
     parser.add_argument("--profile", action="store_true",
                         help="wall-clock profiling (top table + "
                              "flamegraph next to the telemetry streams)")
-    parser.add_argument("--profile-mode", default="both",
-                        help="which profiler(s) --profile runs")
     args = parser.parse_args()
-
-    # Same telemetry/profiling lifecycle as the CLI verbs: when the
-    # flags are off this is a no-op and the timings below are unscathed.
-    from repro.cli import ObsSession
-    from repro.obs.spans import enable_tracing
-
-    session = ObsSession(args, "perf_smoke")
-    if session.enabled:
-        enable_tracing().reset()
-    session.start()
 
     # Serena: the heaviest Cholesky suite factorization (3-D grid, real
     # fill).  atmosmodd: an LU matrix with comparable supernode structure
@@ -357,31 +246,18 @@ def main() -> int:
     # benchmarks Python dispatch overhead rather than the kernels).
     matrices = [("Serena", "cholesky"), ("atmosmodd", "lu")]
     results = {"schema": 1, "matrices": {}, "panel_width": PANEL_WIDTH}
-    if args.sched_only:
-        results["dag_sweep"] = bench_dag_sweep(
-            args.sched_workers, args.scale, args.repeats, args.history)
-    else:
-        for name, kind in matrices:
-            results["matrices"][name] = bench_matrix(
-                name, kind, args.scale, args.repeats)
-        results["cache"] = bench_cache(matrices[0][0], matrices[0][1],
-                                       args.scale)
-    session.finish()
-
-    if results["matrices"]:
-        largest = max(results["matrices"].items(),
-                      key=lambda kv: kv[1]["n"])
-        results["summary"] = {
-            "largest_matrix": largest[0],
-            "refactorize_speedup": largest[1]["speedups"]["refactorize"],
-            "multi_rhs_speedup": largest[1]["speedups"]["multi_rhs"],
-            "cache_hits": results["cache"]["hits"],
-        }
-        s = results["summary"]
-        print(f"\nlargest matrix {s['largest_matrix']}: "
-              f"refactorize {s['refactorize_speedup']:.1f}x vs per-pivot, "
-              f"multi-RHS {s['multi_rhs_speedup']:.1f}x vs per-column, "
-              f"cache hits {s['cache_hits']}")
+    # Same telemetry/profiling lifecycle as the CLI verbs: when the
+    # flags are off this is a no-op and the timings are unscathed.
+    with ObsSession(args, "perf_smoke"):
+        if args.sched_only:
+            results["dag_sweep"] = bench_dag_sweep(
+                args.sched_workers, args.scale, args.repeats, args.history)
+        else:
+            for name, kind in matrices:
+                results["matrices"][name] = bench_matrix(
+                    name, kind, args.scale, args.repeats)
+            results["cache"] = bench_cache(matrices[0][0], matrices[0][1],
+                                           args.scale)
     Path(args.output).write_text(json.dumps(results, indent=1))
     print(f"wrote {args.output}")
     return 0

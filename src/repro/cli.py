@@ -41,12 +41,14 @@ Commands:
   later by ``solve --ordering auto`` and ``SparseSolver(ordering=
   "auto")`` (see docs/ORDERING.md).
 
-``solve``, ``simulate``, ``verify``, and ``history`` share the runtime
-observability flags: ``--telemetry-dir DIR`` records run-scoped
-telemetry (per-process JSONL event streams, merged on exit into a
-Chrome trace + HTML lane report + ``latency.*`` percentile gauges) and
-``--profile`` adds wall-clock profiling (cProfile + sampling profiler,
-top-function table + flamegraph).  See docs/OBSERVABILITY.md.
+``solve``, ``simulate``, ``verify``, and ``serve-bench`` share the
+observability flags and one run lifecycle (:class:`ObsSession`):
+``--metrics FILE`` writes a run artifact, ``--telemetry-dir DIR``
+records run-scoped telemetry (per-process JSONL event streams, merged
+on exit into a Chrome trace + HTML lane report + ``latency.*``
+percentile gauges) and ``--profile`` adds wall-clock profiling
+(cProfile + sampling profiler, top-function table + flamegraph).  See
+docs/OBSERVABILITY.md.
 
 Global flags (before the command): ``-v``/``-vv`` or ``--log-level`` turn
 on stdlib logging from the whole stack.
@@ -72,6 +74,10 @@ import numpy as np
 from repro.arch.config import SpatulaConfig
 from repro.arch.sim import SpatulaSim
 from repro.baselines import CPUModel, GPUModel
+from repro.numeric.engine import (
+    last_factor_attribution,
+    merge_factor_attributions,
+)
 from repro.numeric.solver import SparseSolver
 from repro.numeric.tuning import get_tuning
 from repro.obs import (
@@ -91,13 +97,13 @@ from repro.obs import (
     render_trend_series,
     setup_logging,
     span,
+    task_span,
     telemetry,
     timeline_chrome_trace,
     verbosity_to_level,
     write_html_report,
     write_timeline_report,
 )
-from repro.obs.profile import PROFILE_MODES
 from repro.ordering.autotune import BUDGETS
 from repro.ordering.registry import available_orderings
 from repro.serve.metrics import (
@@ -151,46 +157,66 @@ def _config_from_args(args) -> SpatulaConfig:
 
 
 class ObsSession:
-    """Lifecycle of ``--telemetry-dir`` / ``--profile`` for one command.
+    """One command's observability lifecycle: the span tracer,
+    ``--telemetry-dir``, ``--profile`` and the ``--metrics`` artifact.
 
-    ``start()`` opens the telemetry run (publishing the env handshake so
-    worker processes can join via ``telemetry.init_worker``) and the
-    wall-clock profiler.  ``finish()`` — idempotent, also called from
-    the command's ``finally`` — stops both, merges the per-process JSONL
-    streams into one timeline, exports ``latency.*`` percentile gauges
-    into the global registry (so a subsequent artifact snapshot and the
-    history trend gate see wall-clock latency), and writes the merged
-    outputs next to the streams: ``<run>.trace.json`` (Chrome trace),
-    ``<run>.report.html`` (per-process lane view), ``<run>.timeline.json``
-    and, with ``--profile``, ``<run>.profile.txt`` + ``<run>.flame.svg``.
+    A context manager.  Entering enables and resets the global tracer
+    (when the artifact keeps spans or telemetry is on), opens the
+    telemetry run (publishing the env handshake so worker processes can
+    join via ``telemetry.init_worker``) and starts the profiler.
+    :meth:`finish` — idempotent, also run on exit — stops both, merges
+    the per-process JSONL streams into one timeline, exports
+    ``latency.*`` percentile gauges into the global registry (so the
+    artifact snapshot and the history trend gate see wall-clock
+    latency), and writes the merged outputs next to the streams:
+    ``<run>.trace.json`` (Chrome trace), ``<run>.report.html``
+    (per-process lane view), ``<run>.timeline.json`` and, with
+    ``--profile``, ``<run>.profile.txt`` + ``<run>.flame.svg``.  Exiting
+    then disables the tracer.  :meth:`save` writes the run artifact.
 
-    With neither flag set every method is a no-op, so instrumented
-    commands pay nothing when observability is off.
+    With no flag set every step is a no-op, so commands pay nothing when
+    observability is off.
+
+    Args:
+        args: the parsed command line; ``metrics``, ``telemetry_dir``,
+            ``profile`` and ``trace_memory`` count as off when absent.
+        command: recorded as the telemetry run's parent span.
+        keep_spans: whether the artifact embeds the tracer's spans
+            (and ``--metrics`` alone turns the tracer on).  ``verify``
+            keeps none: a campaign runs thousands of cases, whose spans
+            would pile up in memory for the whole time budget.
     """
 
-    def __init__(self, args, command: str) -> None:
+    def __init__(self, args, command: str, keep_spans: bool = True) -> None:
         self.command = command
+        self.metrics_path = getattr(args, "metrics", None)
         self.telemetry_dir = getattr(args, "telemetry_dir", None)
         self.want_profile = bool(getattr(args, "profile", False))
-        self.profile_mode = getattr(args, "profile_mode", None) or "both"
+        self.trace_memory = bool(getattr(args, "trace_memory", False))
+        self.keep_spans = keep_spans
+        self.tracer = None
         self.profiler: Profiler | None = None
         self.context = None
         self.timeline = None
         self.profile_result = None
         self._done = False
 
-    @property
-    def enabled(self) -> bool:
-        return self.telemetry_dir is not None
-
-    def start(self) -> "ObsSession":
+    def __enter__(self) -> "ObsSession":
+        if self.telemetry_dir or (self.keep_spans and self.metrics_path):
+            self.tracer = enable_tracing(trace_memory=self.trace_memory)
+            self.tracer.reset()
         if self.telemetry_dir:
             self.context = telemetry.start(
                 self.telemetry_dir, parent_span_id=self.command)
         if self.want_profile:
-            self.profiler = Profiler(mode=self.profile_mode)
-            self.profiler.start()
+            self.profiler = Profiler().start()
         return self
+
+    def __exit__(self, *exc) -> bool:
+        self.finish()
+        if self.tracer is not None:
+            disable_tracing()
+        return False
 
     def finish(self) -> None:
         if self._done:
@@ -239,22 +265,32 @@ class ObsSession:
             else:
                 print(self.profile_result.render_top(limit=20))
 
-    def telemetry_dict(self) -> dict | None:
-        """The artifact's ``telemetry`` section (``None`` when off)."""
-        if self.timeline is None:
-            return None
-        return {
-            "run_id": self.timeline.run_id,
-            "dir": self.timeline.telemetry_dir,
-            "n_processes": len(self.timeline.streams),
-            "latency_ms": self.timeline.latency_summary(),
-        }
-
-    def profile_dict(self) -> dict | None:
-        """The artifact's ``profile`` section (``None`` when off)."""
-        if self.profile_result is None:
-            return None
-        return self.profile_result.to_dict()
+    def save(self, artifact: RunArtifact,
+             registry: MetricsRegistry | None = None) -> RunArtifact:
+        """Finish the session, fill ``artifact``'s ``spans``,
+        ``metrics`` (a snapshot of ``registry``, default the global
+        one), ``telemetry``, ``profile`` and ``created_at``, and write
+        it to the ``--metrics`` path."""
+        self.finish()
+        if self.keep_spans and self.tracer is not None:
+            artifact.spans = self.tracer.export()
+        registry = registry if registry is not None else global_registry()
+        artifact.metrics = registry.snapshot()
+        if self.timeline is not None:
+            artifact.telemetry = {
+                "run_id": self.timeline.run_id,
+                "dir": self.timeline.telemetry_dir,
+                "n_processes": len(self.timeline.streams),
+                "latency_ms": self.timeline.latency_summary(),
+            }
+        if self.profile_result is not None:
+            artifact.profile = self.profile_result.to_dict()
+        artifact.created_at = time.strftime("%Y-%m-%dT%H:%M:%S")
+        artifact.save(self.metrics_path)
+        print(f"wrote run artifact to {self.metrics_path} "
+              f"({len(artifact.spans)} spans, "
+              f"{len(artifact.metrics)} metrics)")
+        return artifact
 
 
 def cmd_suite(_args) -> int:
@@ -283,6 +319,13 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _factor_view(role: str) -> dict:
+    """This process's latest factorization attribution, tagged with the
+    pid and role that :func:`merge_factor_attributions` groups by."""
+    return {"pid": os.getpid(), "role": role,
+            **(last_factor_attribution() or {})}
+
+
 def _solve_load_worker(payload: tuple) -> dict:
     """One load-generator process: a solver serving warm requests.
 
@@ -291,6 +334,8 @@ def _solve_load_worker(payload: tuple) -> dict:
     already joined it, so the solver's ``numeric.factorize`` /
     ``numeric.solve`` tracer spans stream into this process's own JSONL
     sink and each request is wrapped in a ``solve.request`` task span.
+    The attribution view of every factorization goes back to the parent
+    in the result.
     """
     (spec, kind, ordering_override, tune_store, workers, block_size,
      rhs_pad, requests, seed) = payload
@@ -299,6 +344,7 @@ def _solve_load_worker(payload: tuple) -> dict:
                           ordering=ordering_override or ordering,
                           tune_store=tune_store, workers=workers,
                           block_size=block_size, rhs_pad=rhs_pad)
+    views = [_factor_view("worker")]
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(matrix.n_rows)
     x = solver.solve(b)
@@ -306,10 +352,11 @@ def _solve_load_worker(payload: tuple) -> dict:
     latencies = []
     for _ in range(requests):
         t_req = time.perf_counter()
-        with telemetry.task_span("solve.request", spec=spec):
+        with task_span("solve.request", spec=spec):
             solver.refactorize(matrix)
             x = solver.solve(b)
         latencies.append(time.perf_counter() - t_req)
+        views.append(_factor_view("worker"))
     seconds = time.perf_counter() - start
     return {
         "pid": os.getpid(),
@@ -317,15 +364,17 @@ def _solve_load_worker(payload: tuple) -> dict:
         "seconds": seconds,
         "latencies": latencies,
         "residual": float(solver.residual_norm(matrix, x, b)),
+        "attributions": views,
     }
 
 
-def _run_solve_load(args, kind: str) -> None:
+def _run_solve_load(args, kind: str) -> list[dict]:
     """``solve --procs P``: P solver processes, each serving ``--repeat``
     warm refactorize+solve requests over the same matrix — the
     circuit-simulation serving regime (many repeated solves on one
     pattern).  Each process is its own telemetry stream, so the merged
-    timeline shows true per-process worker lanes."""
+    timeline shows true per-process worker lanes.  Returns every
+    worker factorization's attribution view."""
     requests = max(1, args.repeat)
     payloads = [
         (args.matrix, kind, args.ordering, args.tune_store, args.workers,
@@ -369,144 +418,116 @@ def _run_solve_load(args, kind: str) -> None:
         print(f"  request latency p50 {stats['p50_ms']:.3f}ms  "
               f"p95 {stats['p95_ms']:.3f}ms  p99 {stats['p99_ms']:.3f}ms "
               f"(exported as serve.latency.request.*)")
+    return [view for r in results for view in r["attributions"]]
+
+
+def _solve_in_process(args, matrix: CSCMatrix, kind: str,
+                      ordering: str) -> tuple[SparseSolver, list[dict]]:
+    """``solve`` with one process: factor, solve, then ``--repeat - 1``
+    warm requests.  Returns the solver and every factorization's
+    attribution view."""
+    solver = SparseSolver(matrix, kind=kind, ordering=ordering,
+                          tune_store=args.tune_store,
+                          workers=args.workers,
+                          block_size=args.block_size,
+                          rhs_pad=args.rhs_pad)
+    views = [_factor_view("main")]
+    if ordering == "auto":
+        print(f"ordering auto -> {solver.ordering}")
+    rng = np.random.default_rng(args.seed)
+    if args.refine:
+        shape = (matrix.n_rows, args.rhs) if args.rhs > 1 \
+            else matrix.n_rows
+        b = rng.standard_normal(shape)
+        result = solver.solve_refined(matrix, b)
+        label = f" over {args.rhs} right-hand sides" \
+            if args.rhs > 1 else ""
+        print(f"residual {result.residual_norm:.3e}{label} after "
+              f"{result.iterations} refinement sweep(s)")
+    elif args.rhs > 1:
+        b = rng.standard_normal((matrix.n_rows, args.rhs))
+        x = solver.solve(b)
+        worst = max(
+            solver.residual_norm(matrix, x[:, j], b[:, j])
+            for j in range(args.rhs)
+        )
+        print(f"worst residual over {args.rhs} right-hand sides "
+              f"{worst:.3e}")
+    else:
+        b = rng.standard_normal(matrix.n_rows)
+        x = solver.solve(b)
+        print(f"residual {solver.residual_norm(matrix, x, b):.3e}")
+    if args.repeat > 1:
+        # Warm requests over the already-analyzed pattern: each
+        # iteration adds one numeric.factorize and one numeric.solve
+        # sample to the wall-clock latency percentiles — and the whole
+        # loop reports under the same serve.* gauges as the solve
+        # server, so the trend gate sees one warm-serving series across
+        # harnesses.
+        recorder = LatencyRecorder()
+        t_rep = time.perf_counter()
+        for _ in range(args.repeat - 1):
+            t_req = time.perf_counter()
+            solver.refactorize(matrix)
+            solver.solve(b)
+            recorder.observe(REQUEST_PHASE, time.perf_counter() - t_req)
+            views.append(_factor_view("main"))
+        dt = max(time.perf_counter() - t_rep, 1e-9)
+        recorder.export()
+        export_serve_gauges(throughput_rps=(args.repeat - 1) / dt)
+        stats = recorder.summary()[REQUEST_PHASE]
+        print(f"{args.repeat - 1} warm refactorize+solve "
+              f"request(s) in {dt:.3f}s "
+              f"({(args.repeat - 1) / dt:.1f} req/s, "
+              f"p50 {stats['p50_ms']:.3f}ms "
+              f"p95 {stats['p95_ms']:.3f}ms)")
+    print(f"factor nnz {solver.factor_nnz}")
+    return solver, views
 
 
 def cmd_solve(args) -> int:
-    session = ObsSession(args, "solve")
-    tracer = None
-    if args.metrics or session.enabled:
-        tracer = enable_tracing()
-        tracer.reset()
-    session.start()
-    try:
+    with ObsSession(args, "solve") as session:
         with span("pipeline.load_matrix"):
             matrix, kind, ordering = load_matrix(args.matrix)
         kind = args.kind or kind
         ordering = args.ordering or ordering
+        tuning = get_tuning()
+        workers = args.workers or tuning.workers
+        block_size = args.block_size or tuning.block_size
+        attribution: dict = {}
         if args.procs > 1:
-            _run_solve_load(args, kind)
+            views = _run_solve_load(args, kind)
         else:
-            solver = SparseSolver(matrix, kind=kind, ordering=ordering,
-                                  tune_store=args.tune_store,
-                                  workers=args.workers,
-                                  block_size=args.block_size,
-                                  rhs_pad=args.rhs_pad)
-            if ordering == "auto":
-                print(f"ordering auto -> {solver.ordering}")
+            solver, views = _solve_in_process(args, matrix, kind, ordering)
+            # Record the knobs the solver actually ran with (an
+            # auto-resolved ordering may have tuned them) and the
+            # ordering's structural quality score.
             ordering = solver.ordering
-            rng = np.random.default_rng(args.seed)
-            if args.refine:
-                shape = (matrix.n_rows, args.rhs) if args.rhs > 1 \
-                    else matrix.n_rows
-                b = rng.standard_normal(shape)
-                result = solver.solve_refined(matrix, b)
-                label = f" over {args.rhs} right-hand sides" \
-                    if args.rhs > 1 else ""
-                print(f"residual {result.residual_norm:.3e}{label} after "
-                      f"{result.iterations} refinement sweep(s)")
-            elif args.rhs > 1:
-                b = rng.standard_normal((matrix.n_rows, args.rhs))
-                x = solver.solve(b)
-                worst = max(
-                    solver.residual_norm(matrix, x[:, j], b[:, j])
-                    for j in range(args.rhs)
-                )
-                print(f"worst residual over {args.rhs} right-hand sides "
-                      f"{worst:.3e}")
-            else:
-                b = rng.standard_normal(matrix.n_rows)
-                x = solver.solve(b)
-                print(f"residual {solver.residual_norm(matrix, x, b):.3e}")
-            if args.repeat > 1:
-                # Warm requests over the already-analyzed pattern: each
-                # iteration adds one numeric.factorize and one
-                # numeric.solve sample to the wall-clock latency
-                # percentiles — and the whole loop reports under the
-                # same serve.* gauges as the solve server, so the trend
-                # gate sees one warm-serving series across harnesses.
-                recorder = LatencyRecorder()
-                t_rep = time.perf_counter()
-                for _ in range(args.repeat - 1):
-                    t_req = time.perf_counter()
-                    solver.refactorize(matrix)
-                    solver.solve(b)
-                    recorder.observe(REQUEST_PHASE,
-                                     time.perf_counter() - t_req)
-                dt = max(time.perf_counter() - t_rep, 1e-9)
-                recorder.export()
-                export_serve_gauges(
-                    throughput_rps=(args.repeat - 1) / dt)
-                stats = recorder.summary()[REQUEST_PHASE]
-                print(f"{args.repeat - 1} warm refactorize+solve "
-                      f"request(s) in {dt:.3f}s "
-                      f"({(args.repeat - 1) / dt:.1f} req/s, "
-                      f"p50 {stats['p50_ms']:.3f}ms "
-                      f"p95 {stats['p95_ms']:.3f}ms)")
-            print(f"factor nnz {solver.factor_nnz}")
-        session.finish()
-        if args.metrics:
-            from repro.numeric.engine import last_factor_attribution
-
-            tuning = get_tuning()
-            numeric_att = last_factor_attribution()
-            attribution: dict = {}
-            if numeric_att:
-                attribution["numeric"] = numeric_att
-            eff_workers = args.workers or tuning.workers
-            eff_block = args.block_size or tuning.block_size
-            if args.procs == 1:
-                # Record the knobs the solver actually ran with (an
-                # auto-resolved ordering may have tuned them) and the
-                # ordering's structural quality score.
-                eff_workers = solver.workers or tuning.workers
-                eff_block = solver.block_size or tuning.block_size
-                if solver.symbolic.quality is not None:
-                    attribution["ordering_quality"] = \
-                        solver.symbolic.quality.to_dict()
-            if session.timeline is not None:
-                # Worker processes publish their attribution through the
-                # telemetry sink (never the parent's module global); the
-                # merged cross-process view comes from the collector.
-                merged = session.timeline.merged_numeric_attribution()
-                if merged:
-                    attribution["numeric_processes"] = merged
-            artifact = RunArtifact(
+            workers = solver.workers or tuning.workers
+            block_size = solver.block_size or tuning.block_size
+            attribution["numeric"] = last_factor_attribution()
+            if solver.symbolic.quality is not None:
+                attribution["ordering_quality"] = \
+                    solver.symbolic.quality.to_dict()
+        attribution["numeric_processes"] = merge_factor_attributions(views)
+        if session.metrics_path:
+            session.save(RunArtifact(
                 matrix=args.matrix, kind=kind, n=matrix.n_rows,
                 config={
                     "ordering": ordering,
-                    "workers": eff_workers,
-                    "block_size": eff_block,
+                    "workers": workers,
+                    "block_size": block_size,
                     "rhs": args.rhs, "repeat": args.repeat,
                     "procs": args.procs,
                 },
                 report={},
-                metrics=global_registry().snapshot(),
-                spans=[s.to_dict() for s in tracer.spans],
-                attribution=attribution or None,
-                telemetry=session.telemetry_dict(),
-                profile=session.profile_dict(),
-                created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-            )
-            artifact.save(args.metrics)
-            print(f"wrote run artifact to {args.metrics} "
-                  f"({len(tracer.spans)} spans, "
-                  f"{len(artifact.metrics)} metrics)")
-        return 0
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
+                attribution=attribution,
+            ))
+    return 0
 
 
 def cmd_simulate(args) -> int:
-    session = ObsSession(args, "simulate")
-    tracer = None
-    if args.metrics or session.enabled:
-        # Spans for every pipeline phase land in the run artifact.
-        tracer = enable_tracing(trace_memory=args.trace_memory)
-        tracer.reset()
-    session.start()
-    try:
+    with ObsSession(args, "simulate") as session:
         with span("pipeline.load_matrix"):
             matrix, kind, ordering = load_matrix(args.matrix)
         kind = args.kind or kind
@@ -551,24 +572,15 @@ def cmd_simulate(args) -> int:
         if args.trace:
             from repro.arch.trace import export_chrome_trace
 
-            export_chrome_trace(sim.trace, args.trace, config.freq_ghz,
-                                spans=tracer.spans if tracer else None)
+            export_chrome_trace(
+                sim.trace, args.trace, config.freq_ghz,
+                spans=session.tracer.spans if session.tracer else None)
             print(f"wrote Chrome trace to {args.trace}")
-        session.finish()
         if args.metrics:
-            artifact = RunArtifact.from_run(report, tracer=tracer,
-                                            attribution=sim.attribution())
-            artifact.telemetry = session.telemetry_dict()
-            artifact.profile = session.profile_dict()
-            artifact.save(args.metrics)
-            print(f"wrote run artifact to {args.metrics} "
-                  f"({len(tracer.spans)} spans, "
-                  f"{len(report.metrics)} metrics, attribution)")
-        return 0
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
+            session.save(RunArtifact.from_run(
+                report, attribution=sim.attribution()),
+                registry=report.metrics)
+    return 0
 
 
 def cmd_report(args) -> int:
@@ -603,21 +615,6 @@ def cmd_report(args) -> int:
 def cmd_history(args) -> int:
     if args.action in ("add", "check") and not args.file:
         raise ValueError(f"history {args.action} needs an artifact file")
-    session = ObsSession(args, "history")
-    tracer = None
-    if session.enabled:
-        tracer = enable_tracing()
-        tracer.reset()
-    session.start()
-    try:
-        return _history_action(args)
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
-
-
-def _history_action(args) -> int:
     store = HistoryStore(args.dir)
     if args.action == "add":
         artifact = RunArtifact.load(args.file)
@@ -664,13 +661,7 @@ def cmd_verify(args) -> int:
         print("  no mismatch: the failing case no longer reproduces")
         return 0
 
-    session = ObsSession(args, "verify")
-    tracer = None
-    if session.enabled:
-        tracer = enable_tracing()
-        tracer.reset()
-    session.start()
-    try:
+    with ObsSession(args, "verify", keep_spans=False) as session:
         config = VerifyConfig(
             seed=args.seed,
             budget_seconds=args.budget,
@@ -683,19 +674,9 @@ def cmd_verify(args) -> int:
         with span("verify.campaign"):
             summary = run_verification(config)
         print(summary.render())
-        session.finish()
         if args.metrics:
-            artifact = campaign_artifact(summary, config)
-            artifact.telemetry = session.telemetry_dict()
-            artifact.profile = session.profile_dict()
-            artifact.save(args.metrics)
-            print(f"wrote run artifact to {args.metrics} "
-                  f"({len(artifact.metrics)} metrics)")
-        return 0 if summary.ok else 1
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
+            session.save(campaign_artifact(summary, config))
+    return 0 if summary.ok else 1
 
 
 def cmd_telemetry(args) -> int:
@@ -883,13 +864,7 @@ def cmd_serve_top(args) -> int:
 def cmd_serve_bench(args) -> int:
     from repro.serve.bench import BenchConfig, run_bench
 
-    session = ObsSession(args, "serve-bench")
-    tracer = None
-    if args.metrics or session.enabled:
-        tracer = enable_tracing()
-        tracer.reset()
-    session.start()
-    try:
+    with ObsSession(args, "serve-bench") as session:
         config = BenchConfig(
             family=args.family,
             patterns=args.patterns,
@@ -936,9 +911,8 @@ def cmd_serve_bench(args) -> int:
                 f"{v['mismatches']} MISMATCH(ES)"
             print(f"  verification: {v['checked']} response(s) vs direct "
                   f"solves: {status}")
-        session.finish()
         if args.metrics:
-            artifact = RunArtifact(
+            artifact = session.save(RunArtifact(
                 matrix=f"fuzz:{args.family}", kind="serve",
                 n=max(sizes),
                 config=result["config"],
@@ -955,27 +929,15 @@ def cmd_serve_bench(args) -> int:
                         (result.get("verify") or {})
                         .get("bit_identical"),
                 },
-                metrics=global_registry().snapshot(),
-                spans=[s.to_dict() for s in tracer.spans],
-                telemetry=session.telemetry_dict(),
-                profile=session.profile_dict(),
-                created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-            )
-            artifact.save(args.metrics)
-            print(f"wrote run artifact to {args.metrics} "
-                  f"({len(artifact.metrics)} metrics)")
+            ))
             if args.history:
                 store = HistoryStore(args.history)
                 entry = store.add(artifact)
                 print(f"recorded in history as {entry.path} "
                       f"(key {entry.key})")
-        if "verify" in result and not result["verify"]["bit_identical"]:
-            return 1
-        return 0
-    finally:
-        session.finish()
-        if tracer is not None:
-            disable_tracing()
+    if "verify" in result and not result["verify"]["bit_identical"]:
+        return 1
+    return 0
 
 
 def cmd_autotune(args) -> int:
@@ -1050,6 +1012,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=["cholesky", "lu"], default=None)
 
     def add_obs_args(p):
+        p.add_argument("--metrics", metavar="FILE", default=None,
+                       help="write a run-artifact JSON (config + report + "
+                            "metrics registry + pipeline spans, plus the "
+                            "telemetry/profile sections when on)")
         p.add_argument("--telemetry-dir", metavar="DIR", default=None,
                        help="record run-scoped telemetry: per-process "
                             "JSONL event streams in DIR, merged on exit "
@@ -1059,10 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock profiling (cProfile + sampling "
                             "profiler); writes a top-function table and "
                             "a flamegraph next to the telemetry streams")
-        p.add_argument("--profile-mode", choices=list(PROFILE_MODES),
-                       default="both",
-                       help="which profiler(s) --profile runs "
-                            "(default: both)")
 
     p_info = sub.add_parser("info", help="matrix + symbolic summary")
     add_matrix_arg(p_info)
@@ -1107,9 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "serving --repeat warm requests from its "
                               "own solver and telemetry stream "
                               "(default 1)")
-    p_solve.add_argument("--metrics", metavar="FILE", default=None,
-                         help="write a run-artifact JSON (numeric-engine "
-                              "metrics + pipeline spans)")
     add_obs_args(p_solve)
 
     def add_config_args(p):
@@ -1132,9 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print an ASCII Gantt chart")
     p_sim.add_argument("--trace", metavar="FILE", default=None,
                        help="write a Chrome trace JSON")
-    p_sim.add_argument("--metrics", metavar="FILE", default=None,
-                       help="write a run-artifact JSON (config + report + "
-                            "metrics registry + pipeline spans)")
     p_sim.add_argument("--trace-memory", action="store_true",
                        help="capture tracemalloc peak memory per span "
                             "(implies --metrics overhead)")
@@ -1163,8 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: repros/)")
     p_ver.add_argument("--no-shrink", action="store_true",
                        help="report mismatches without minimizing them")
-    p_ver.add_argument("--metrics", metavar="FILE", default=None,
-                       help="write a run-artifact JSON (verify.* counters)")
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="process-pool workers for case execution; "
                             "each joins the telemetry run and emits "
@@ -1218,7 +1172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--no-add", action="store_true",
                         help="with `check`, judge only; do not record the "
                              "artifact afterwards")
-    add_obs_args(p_hist)
 
     p_srv = sub.add_parser(
         "serve", help="long-lived multi-tenant solve server on a unix "
@@ -1333,9 +1286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sb.add_argument("--no-baseline", action="store_true",
                       help="skip the uncoalesced baseline phase (no "
                            "speedup reported)")
-    p_sb.add_argument("--metrics", metavar="FILE", default=None,
-                      help="write a run-artifact JSON (serve.* gauges + "
-                           "phase report)")
     p_sb.add_argument("--history", metavar="DIR", default=None,
                       help="with --metrics, append the artifact to this "
                            "history store (trend gate input)")

@@ -30,7 +30,6 @@ import threading
 import numpy as np
 
 from repro.numeric.schedule.base import ScheduleStats
-from repro.obs import telemetry
 from repro.obs.metrics import global_registry
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
@@ -41,6 +40,7 @@ __all__ = [
     "NumericContext",
     "export_factor_metrics",
     "last_factor_attribution",
+    "merge_factor_attributions",
     "numeric_context",
     "row_permutation_data_map",
 ]
@@ -241,14 +241,10 @@ def numeric_context(symbolic: SymbolicFactorization,
 # -- attribution and metrics export --------------------------------------------
 
 
-# Attribution view of the most recent factorization (see
+# Attribution view of the most recent factorization in this process (see
 # last_factor_attribution); written by export_factor_metrics under
-# _attribution_lock.  Worker-role processes (solve --procs load
-# generators) never write it — they publish through the telemetry sink
-# instead, so a forked worker cannot clobber the parent's view (each
-# process has its own copy of this global, but keeping worker copies
-# empty makes the ownership unambiguous and the merged view comes from
-# the collector).
+# _attribution_lock.  Each process has its own copy: `solve --procs`
+# workers hand theirs back in their results (merge_factor_attributions).
 _last_attribution: dict | None = None
 _attribution_lock = threading.Lock()
 
@@ -261,10 +257,25 @@ def last_factor_attribution() -> dict | None:
     worker occupancy, and wall/busy seconds.  Embedded into solve run
     artifacts as the ``attribution.numeric`` section — the
     software-engine analogue of the simulator's cycle accounting.
-    ``None`` before any factorization (and always in worker-role
-    processes, which publish via the telemetry sink instead)."""
+    ``None`` before any factorization."""
     with _attribution_lock:
         return _last_attribution
+
+
+def merge_factor_attributions(views: list[dict]) -> dict:
+    """Fold per-factorization attribution views, each tagged with the
+    ``pid`` and ``role`` of the process that ran it, into the
+    ``attribution.numeric_processes`` section: seconds, busy seconds and
+    parallel tasks summed, the views kept for drill-down."""
+    return {
+        "processes": views,
+        "n_processes": len({v["pid"] for v in views}),
+        "seconds": sum(v.get("seconds", 0.0) for v in views),
+        "busy_seconds": sum(v.get("busy_seconds", 0.0) for v in views),
+        "parallel_tasks": int(sum(v.get("parallel_tasks", 0)
+                                  for v in views)),
+        "factorizations": len(views),
+    }
 
 
 def export_factor_metrics(
@@ -276,7 +287,7 @@ def export_factor_metrics(
     stats: ScheduleStats,
 ) -> None:
     """Report one numeric factorization into the global metrics registry
-    and the per-process attribution channel."""
+    and this process's last-factorization attribution view."""
     global _last_attribution
     workers = stats.workers
     parallel_tasks = stats.dispatched
@@ -298,14 +309,8 @@ def export_factor_metrics(
         ),
         "schedule": stats.summary(),
     }
-    context = telemetry.current_context()
-    in_worker = context is not None and context.role == "worker"
-    if not in_worker:
-        with _attribution_lock:
-            _last_attribution = attribution
-    sink = telemetry.current_sink()
-    if sink is not None:
-        sink.attribution(attribution)
+    with _attribution_lock:
+        _last_attribution = attribution
 
     reg = global_registry()
     reg.counter("numeric.factor.count").inc()

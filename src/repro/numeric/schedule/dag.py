@@ -20,7 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.obs import telemetry
+from repro.obs.spans import get_tracer
 
 from .base import ScheduleStats, SupernodeJob, WorkerLanes
 
@@ -47,7 +47,8 @@ def run_dag(job: SupernodeJob, workers: int) -> ScheduleStats:
     state = {"submitted": 0, "finished": 0, "error": None, "ready": 0}
     ready_at: dict[int, float] = {}
     lanes = WorkerLanes()
-    traced = telemetry.active()
+    tracer = get_tracer()
+    traced = tracer.listening
 
     def submit(pool: ThreadPoolExecutor, i: int, now: float) -> None:
         # Caller holds ``cond``.
@@ -69,7 +70,7 @@ def run_dag(job: SupernodeJob, workers: int) -> ScheduleStats:
         stats.dispatch_latency_s.append(t0 - ready_at[i])
         try:
             if traced:
-                with telemetry.task_span("numeric.supernode", sn=i):
+                with tracer.task_span("numeric.supernode", sn=i):
                     job.compute(i)
             else:
                 job.compute(i)

@@ -5,10 +5,12 @@ Dependency-free observability primitives used across the whole stack:
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and log-scale histograms keyed by hierarchical name
   (``sim.cache.hits``, ``noc.port.stall_cycles``, ``hbm.chan3.bytes``);
-* :mod:`repro.obs.spans` — a span tracer (``with span("symbolic.etree")``)
-  with wall-clock and optional :mod:`tracemalloc` peak-memory capture,
-  threaded through ordering → symbolic → planning → simulation → solve →
-  baselines;
+* :mod:`repro.obs.spans` — the one span model: a tracer
+  (``with span("symbolic.etree")``) with wall-clock and optional
+  :mod:`tracemalloc` peak-memory capture, threaded through ordering →
+  symbolic → planning → simulation → solve → baselines, plus
+  listener-only ``task_span`` / ``record_span`` for high-volume
+  worker-side and per-request spans;
 * :mod:`repro.obs.artifact` — versioned JSON run artifacts
   (config + report + metrics + spans + attribution) with diffing and a
   regression gate (``repro report --diff``);
@@ -25,17 +27,18 @@ Dependency-free observability primitives used across the whole stack:
   (spans, counters, logs, heartbeats), and a collector merging the
   streams into one clock-aligned :class:`Timeline` with wall-clock
   latency percentiles (``repro <cmd> --telemetry-dir`` /
-  ``repro telemetry collect``);
+  ``repro telemetry collect``); the sink is a tracer listener;
 * :mod:`repro.obs.profile` — opt-in wall-clock profiling (cProfile +
   a sampling signal profiler) with top-function tables and
   self-contained SVG flamegraphs (``--profile``);
 * :mod:`repro.obs.log` — stdlib-logging setup behind the CLI's
   ``-v`` / ``--log-level`` flags;
-* :mod:`repro.obs.live` — *live* (windowed, memory-bounded) primitives
-  for long-lived processes: rolling-window percentile rings, top-K
-  slow-event exemplars, sparklines, and Prometheus text rendering —
-  the building blocks of the serve layer's ``stats``/``health`` ops
-  and ``repro serve-top``.
+* :mod:`repro.obs.live` — ``percentile_summary``, the one latency
+  summary behind every percentile, and *live* (windowed,
+  memory-bounded) primitives for long-lived processes: rolling-window
+  percentile rings, top-K slow-event exemplars, sparklines, and
+  Prometheus text rendering — the building blocks of the serve layer's
+  ``stats``/``health`` ops and ``repro serve-top``.
 
 See ``docs/OBSERVABILITY.md`` for the full guide.
 """
@@ -76,6 +79,7 @@ from repro.obs.live import (
     ExemplarRing,
     RollingWindow,
     flatten_stats,
+    percentile_summary,
     prometheus_text,
     sparkline,
 )
@@ -87,7 +91,6 @@ from repro.obs.telemetry import (
     Timeline,
     collect,
     latency_percentiles,
-    task_span,
     timeline_chrome_trace,
 )
 from repro.obs.metrics import (
@@ -104,7 +107,9 @@ from repro.obs.spans import (
     disable_tracing,
     enable_tracing,
     get_tracer,
+    record_span,
     span,
+    task_span,
 )
 
 __all__ = [
@@ -117,6 +122,8 @@ __all__ = [
     "Span",
     "Tracer",
     "span",
+    "task_span",
+    "record_span",
     "get_tracer",
     "enable_tracing",
     "disable_tracing",
@@ -149,13 +156,13 @@ __all__ = [
     "Timeline",
     "collect",
     "latency_percentiles",
-    "task_span",
     "timeline_chrome_trace",
     "Profiler",
     "ProfileResult",
     "flamegraph_svg",
     "setup_logging",
     "verbosity_to_level",
+    "percentile_summary",
     "RollingWindow",
     "ExemplarRing",
     "sparkline",

@@ -8,6 +8,9 @@ slow and why — without ever growing memory with uptime.  This module
 holds the building blocks the serving layer (and any future daemon)
 composes for that:
 
+* :func:`percentile_summary` — the one latency summary (count, mean,
+  p50/p95/p99, max in ms) behind every percentile in the repo: rolling
+  windows, the serving layer's recorders and telemetry timelines;
 * :class:`RollingWindow` — a fixed-capacity ring of timestamped samples
   with windowed percentile/rate snapshots.  Appends are O(1), memory is
   bounded by the ring capacity forever.
@@ -40,12 +43,37 @@ import time
 import numpy as np
 
 __all__ = [
+    "percentile_summary",
     "RollingWindow",
     "ExemplarRing",
     "sparkline",
     "flatten_stats",
     "prometheus_text",
 ]
+
+
+def percentile_summary(seconds) -> dict:
+    """The one latency summary every percentile view reports.
+
+    ``seconds`` are latency samples in seconds; the summary is in
+    milliseconds: ``count``, ``mean_ms``, ``p50_ms``/``p95_ms``/
+    ``p99_ms`` (numpy's default linear interpolation between the two
+    nearest ranks) and ``max_ms``.  An empty sample yields zeros, never
+    NaNs.
+    """
+    ms = np.asarray(seconds, dtype=np.float64) * 1e3
+    if ms.size == 0:
+        return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0,
+                "p99_ms": 0.0, "max_ms": 0.0}
+    p50, p95, p99 = np.percentile(ms, (50, 95, 99))
+    return {
+        "count": int(ms.size),
+        "mean_ms": float(ms.mean()),
+        "p50_ms": float(p50),
+        "p95_ms": float(p95),
+        "p99_ms": float(p99),
+        "max_ms": float(ms.max()),
+    }
 
 
 class RollingWindow:
@@ -117,32 +145,19 @@ class RollingWindow:
 
     def snapshot(self, window_s: float | None = None,
                  now: float | None = None) -> dict:
-        """Summary dict over the (windowed) retained samples.
-
-        Keys: ``count`` (samples in view), ``rate_per_s`` (count /
-        window; 0 when ``window_s`` is None), ``mean``/``p50``/``p95``/
-        ``p99``/``max`` in the sample's own unit, plus the lifetime
+        """:func:`percentile_summary` of the (windowed) retained
+        samples, which are seconds, plus ``rate_per_s`` (samples in view
+        / window; 0 when ``window_s`` is None) and the lifetime
         ``total_count``.  An empty view yields zeros, never NaNs, so
         pollers can always render it.
         """
         v = self.values(window_s=window_s, now=now)
         with self._lock:
             total = self.total_count
-        if v.size == 0:
-            return {"count": 0, "rate_per_s": 0.0, "mean": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0,
-                    "total_count": total}
-        rate = (v.size / float(window_s)) if window_s else 0.0
-        return {
-            "count": int(v.size),
-            "rate_per_s": float(rate),
-            "mean": float(v.mean()),
-            "p50": float(np.percentile(v, 50)),
-            "p95": float(np.percentile(v, 95)),
-            "p99": float(np.percentile(v, 99)),
-            "max": float(v.max()),
-            "total_count": total,
-        }
+        snap = percentile_summary(v)
+        snap["rate_per_s"] = (v.size / float(window_s)) if window_s else 0.0
+        snap["total_count"] = total
+        return snap
 
 
 class ExemplarRing:

@@ -83,20 +83,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Upper bucket edge at quantile ``q`` (log2 resolution)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for bucket in sorted(self.buckets):
-            seen += self.buckets[bucket]
-            if seen >= target:
-                return float(2 ** bucket - 1) if bucket else 0.0
-        return self.max
-
     def as_value(self) -> dict:
         return {
             "count": self.count,
@@ -104,8 +90,6 @@ class Histogram:
             "min": self.min if self.count else 0.0,
             "max": self.max if self.count else 0.0,
             "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p99": self.quantile(0.99),
             "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
         }
 

@@ -40,14 +40,13 @@ DEFAULT_INTERVAL_S = 0.005
 #: Frames deeper than this are truncated when folding stacks.
 MAX_STACK_DEPTH = 64
 
-PROFILE_MODES = ("both", "cprofile", "sample")
-
 
 @dataclass
 class ProfileResult:
     """One profiling session, ready for artifact embedding."""
 
-    mode: str
+    mode: str               # collectors run: "both" (older artifacts
+                            # may also say "cprofile" or "sample")
     seconds: float
     top: list[dict] = field(default_factory=list)
     folded: dict[str, int] = field(default_factory=dict)
@@ -156,25 +155,19 @@ class SamplingProfiler:
 
 
 class Profiler:
-    """One profiling session combining both collectors.
+    """One profiling session running both collectors.
+
+    The sampling collector drops out silently where it cannot run (off
+    the main thread, or without Unix signals); cProfile always runs.
 
     Args:
-        mode: ``"both"`` (default), ``"cprofile"``, or ``"sample"``.
         interval: sampling period for the statistical collector.
     """
 
-    def __init__(self, mode: str = "both",
-                 interval: float = DEFAULT_INTERVAL_S) -> None:
-        if mode not in PROFILE_MODES:
-            raise ValueError(
-                f"profile mode must be one of {PROFILE_MODES}")
-        self.mode = mode
-        self._cprofile: cProfile.Profile | None = None
-        self._sampler: SamplingProfiler | None = None
-        if mode in ("both", "cprofile"):
-            self._cprofile = cProfile.Profile()
-        if mode in ("both", "sample"):
-            self._sampler = SamplingProfiler(interval=interval)
+    def __init__(self, interval: float = DEFAULT_INTERVAL_S) -> None:
+        self._cprofile = cProfile.Profile()
+        self._sampler: SamplingProfiler | None = SamplingProfiler(
+            interval=interval)
         self._t0 = 0.0
         self._result: ProfileResult | None = None
 
@@ -185,8 +178,7 @@ class Profiler:
                         "(needs Unix signals + main thread); "
                         "continuing without samples")
             self._sampler = None
-        if self._cprofile is not None:
-            self._cprofile.enable()
+        self._cprofile.enable()
         return self
 
     def stop(self) -> ProfileResult:
@@ -194,28 +186,25 @@ class Profiler:
         if self._result is not None:
             return self._result
         seconds = time.perf_counter() - self._t0
-        if self._cprofile is not None:
-            self._cprofile.disable()
+        self._cprofile.disable()
         if self._sampler is not None:
             self._sampler.stop()
-        top: list[dict] = []
-        if self._cprofile is not None:
-            stats = pstats.Stats(self._cprofile)
-            rows = []
-            for (file, line, func), (cc, nc, tottime, cumtime, _callers) \
-                    in stats.stats.items():
-                rows.append({
-                    "func": func,
-                    "file": file.rsplit("/", 1)[-1],
-                    "line": line,
-                    "ncalls": nc,
-                    "tottime_s": round(tottime, 6),
-                    "cumtime_s": round(cumtime, 6),
-                })
-            rows.sort(key=lambda r: -r["cumtime_s"])
-            top = rows[:60]
+        stats = pstats.Stats(self._cprofile)
+        rows = []
+        for (file, line, func), (cc, nc, tottime, cumtime, _callers) \
+                in stats.stats.items():
+            rows.append({
+                "func": func,
+                "file": file.rsplit("/", 1)[-1],
+                "line": line,
+                "ncalls": nc,
+                "tottime_s": round(tottime, 6),
+                "cumtime_s": round(cumtime, 6),
+            })
+        rows.sort(key=lambda r: -r["cumtime_s"])
+        top = rows[:60]
         self._result = ProfileResult(
-            mode=self.mode,
+            mode="both",
             seconds=seconds,
             top=top,
             folded=dict(self._sampler.counts) if self._sampler else {},

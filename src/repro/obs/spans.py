@@ -15,13 +15,29 @@ dict-free function call returning a shared no-op context manager, so
 library code can be instrumented unconditionally.  Spans nest; each span
 records its depth and parent name so exporters can rebuild the hierarchy.
 
+This module is the only place a span is made.  Three entry points share
+one :class:`Span` record and one listener path:
+
+* :func:`span` — a timed block kept in the tracer's in-memory list (and
+  so in run artifacts) and sent to every listener;
+* :func:`task_span` — a timed block with ``attrs`` sent to listeners
+  only, for high-volume worker-side instrumentation (per-supernode
+  tasks, per-case verify jobs, coalesced serve batches) that must not
+  grow run artifacts;
+* :func:`record_span` — an already-timed span (e.g. a server request
+  whose phases are known only when it completes), also listeners only.
+
+With no listener registered, :func:`task_span` returns the shared no-op
+context manager, so instrumented code costs one check.
+
 The tracer is thread-safe: the open-span stack is thread-local (so spans
 opened concurrently from worker threads — e.g. the DAG-dispatched
 numeric pool — nest within their own thread, not each other), completed
 spans are appended under a lock, and registered completion listeners
 (:meth:`Tracer.add_listener`, used by :mod:`repro.obs.telemetry` to
-mirror spans into the per-process event sink) are invoked in the
-completing thread.
+write spans into the per-process event sink) are invoked in the
+completing thread.  Every span carries the id of the thread that
+completed it (``tid``).
 
 With ``trace_memory=True`` the tracer also samples :mod:`tracemalloc` and
 records the peak traced allocation observed while the span was open (the
@@ -50,9 +66,11 @@ class Span:
     depth: int = 0
     parent: str | None = None
     peak_mem_bytes: int | None = None
+    attrs: dict | None = None
+    tid: int | None = None   # completing thread (threading.get_ident)
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "name": self.name,
             "start_s": self.start_s,
             "duration_s": self.duration_s,
@@ -60,6 +78,9 @@ class Span:
             "parent": self.parent,
             "peak_mem_bytes": self.peak_mem_bytes,
         }
+        if self.attrs:
+            d["attrs"] = self.attrs
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Span":
@@ -68,6 +89,7 @@ class Span:
             duration_s=d["duration_s"], depth=d.get("depth", 0),
             parent=d.get("parent"),
             peak_mem_bytes=d.get("peak_mem_bytes"),
+            attrs=d.get("attrs"),
         )
 
 
@@ -84,6 +106,27 @@ class _NullContext:
 
 
 _NULL_CONTEXT = _NullContext()
+
+
+class _TaskSpan:
+    """Times one block and sends it to the tracer's listeners only."""
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_start")
+
+    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        self._tracer.record_span(self._name, self._start,
+                                 time.perf_counter() - self._start,
+                                 **self._attrs)
+        return False
 
 
 class Tracer:
@@ -129,16 +172,27 @@ class Tracer:
 
     # -- listeners -----------------------------------------------------------
 
+    # The listener list is replaced, never mutated, so the recording
+    # paths read it without taking the lock.
+
     def add_listener(self, fn: Callable[[Span], None]) -> None:
         """Call ``fn(span)`` in the completing thread for every span."""
         with self._lock:
             if fn not in self._listeners:
-                self._listeners.append(fn)
+                self._listeners = [*self._listeners, fn]
 
     def remove_listener(self, fn: Callable[[Span], None]) -> None:
         with self._lock:
-            if fn in self._listeners:
-                self._listeners.remove(fn)
+            self._listeners = [f for f in self._listeners if f != fn]
+
+    @property
+    def listening(self) -> bool:
+        """True while at least one listener is registered."""
+        return bool(self._listeners)
+
+    def _notify(self, completed: Span) -> None:
+        for fn in self._listeners:
+            fn(completed)
 
     # -- recording ----------------------------------------------------------
 
@@ -167,12 +221,29 @@ class Tracer:
             completed = Span(
                 name=name, start_s=start, duration_s=duration,
                 depth=depth, parent=parent, peak_mem_bytes=peak,
+                tid=threading.get_ident(),
             )
             with self._lock:
                 self.spans.append(completed)
-                listeners = list(self._listeners)
-            for fn in listeners:
-                fn(completed)
+            self._notify(completed)
+
+    def task_span(self, name: str, **attrs):
+        """Time a block and send it to the listeners only (never into
+        :attr:`spans`); the shared no-op while nothing listens."""
+        if not self._listeners:
+            return _NULL_CONTEXT
+        return _TaskSpan(self, name, attrs)
+
+    def record_span(self, name: str, start_s: float, duration_s: float,
+                    depth: int = 0, **attrs) -> None:
+        """Send a span whose timing is already known to the listeners
+        only (never into :attr:`spans`)."""
+        if not self._listeners:
+            return
+        self._notify(Span(name=name, start_s=start_s,
+                          duration_s=duration_s, depth=depth,
+                          attrs=attrs or None,
+                          tid=threading.get_ident()))
 
     # -- queries ------------------------------------------------------------
 
@@ -211,3 +282,15 @@ def span(name: str):
     No-op (and allocation-free) while tracing is disabled.
     """
     return _TRACER.span(name)
+
+
+def task_span(name: str, **attrs):
+    """Listener-only timed block on the global tracer (see
+    :meth:`Tracer.task_span`); no-op while nothing listens."""
+    return _TRACER.task_span(name, **attrs)
+
+
+def record_span(name: str, start_s: float, duration_s: float,
+                depth: int = 0, **attrs) -> None:
+    """Send an already-timed span to the global tracer's listeners."""
+    _TRACER.record_span(name, start_s, duration_s, depth, **attrs)

@@ -16,10 +16,12 @@ event a worker emits carries the parent run id.
 **Per-process sink** (:class:`TelemetrySink`): one line-buffered JSONL
 file per process (``<run_id>.<pid>.jsonl``), so a crashed worker loses at
 most its final partial line.  Event types: ``meta`` (process start: pid,
-role, wall/perf clock pair for alignment), ``span`` (mirrored from the
-global tracer and from :func:`task_span`), ``counters`` (a registry
-snapshot, dumped at shutdown), ``log`` (records from the ``repro``
-logger), and ``hb`` (periodic heartbeats with RSS).
+role, wall/perf clock pair for alignment), ``span`` (every span the
+global tracer completes or is handed — :func:`repro.obs.spans.span`,
+``task_span`` and ``record_span`` — written by the sink's tracer
+listener), ``counters`` (a registry snapshot, dumped at shutdown),
+``log`` (records from the ``repro`` logger), and ``hb`` (periodic
+heartbeats with RSS).
 
 **Collector** (:func:`collect` → :class:`Timeline`): merges the
 per-process streams of one run into a single clock-aligned timeline.
@@ -30,13 +32,13 @@ different processes line up on one axis.  The timeline exports to the
 Chrome trace-event format (one Perfetto process lane per OS process, one
 thread lane per worker thread) and to the HTML report
 (:func:`repro.obs.html.write_timeline_report`), and computes per-phase
-wall-clock latency percentiles (p50/p95/p99) that feed the
-``latency.*`` watched metrics.
+wall-clock latency percentiles
+(:func:`repro.obs.live.percentile_summary`) that feed the ``latency.*``
+watched metrics.
 
-Everything here is disabled by default.  While telemetry is off,
-:func:`task_span` returns a shared no-op context manager and the tracer
-carries no listener — the instrumented code paths cost one attribute
-check.
+Everything here is disabled by default.  While telemetry is off the
+tracer carries no listener, so ``task_span`` returns a shared no-op
+context manager and the instrumented code paths cost one check.
 """
 
 from __future__ import annotations
@@ -50,9 +52,14 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, global_registry
+from repro.obs.live import percentile_summary
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    MetricsRegistry,
+    global_registry,
+    reset_global_registry,
+)
 from repro.obs.spans import Span, enable_tracing, get_tracer
 
 logger = logging.getLogger(__name__)
@@ -135,19 +142,19 @@ class TelemetrySink:
 
     # -- typed events --------------------------------------------------------
 
-    def span(self, span: Span, tid: int | None = None,
-             attrs: dict | None = None) -> None:
+    def span(self, span: Span) -> None:
         event = {
             "t": "span", "run": self.context.run_id, "pid": self.pid,
-            "tid": tid if tid is not None else threading.get_ident(),
+            "tid": (span.tid if span.tid is not None
+                    else threading.get_ident()),
             "name": span.name, "start": span.start_s,
             "dur": span.duration_s, "depth": span.depth,
             "parent": span.parent,
         }
         if span.peak_mem_bytes is not None:
             event["peak_mem_bytes"] = span.peak_mem_bytes
-        if attrs:
-            event["attrs"] = attrs
+        if span.attrs:
+            event["attrs"] = span.attrs
         self.emit(event)
 
     def counters(self, registry: MetricsRegistry) -> None:
@@ -171,15 +178,6 @@ class TelemetrySink:
             "wall": record.created, "level": record.levelname,
             "logger": record.name, "msg": record.getMessage(),
         })
-
-    def attribution(self, attr: dict) -> None:
-        """Record a process-local attribution view (e.g. the numeric
-        engine's factorization summary).  Worker processes publish their
-        attribution through this channel instead of mutating their own
-        copy of the parent's module globals — the collector hands every
-        process's view back to the parent for merging."""
-        self.emit({"t": "attr", "run": self.context.run_id,
-                   "pid": self.pid, "wall": time.time(), "attr": attr})
 
     def heartbeat(self) -> None:
         event = {"t": "hb", "run": self.context.run_id, "pid": self.pid,
@@ -207,46 +205,6 @@ class _SinkLogHandler(logging.Handler):
             pass
 
 
-class _NullTaskSpan:
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_TASK_SPAN = _NullTaskSpan()
-
-
-class _TaskSpan:
-    """Direct-to-sink span that bypasses the tracer's in-memory list —
-    for high-volume worker-side instrumentation (per-supernode tasks,
-    per-case verify jobs) that must not bloat run artifacts."""
-
-    __slots__ = ("_name", "_attrs", "_start")
-
-    def __init__(self, name: str, attrs: dict) -> None:
-        self._name = name
-        self._attrs = attrs
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        sink = _STATE.sink
-        if sink is not None:
-            duration = time.perf_counter() - self._start
-            sink.span(
-                Span(name=self._name, start_s=self._start,
-                     duration_s=duration),
-                attrs=self._attrs or None,
-            )
-        return False
-
-
 class _State:
     """Module-level telemetry state for this process."""
 
@@ -271,11 +229,8 @@ def current_context() -> RunContext | None:
     return _STATE.context
 
 
-def current_sink() -> TelemetrySink | None:
-    return _STATE.sink
-
-
 def _on_tracer_span(span: Span) -> None:
+    """The sink's tracer listener: its only source of span events."""
     sink = _STATE.sink
     if sink is not None:
         sink.span(span)
@@ -386,28 +341,21 @@ def init_worker() -> RunContext | None:
     _STATE.owns_env = False
     get_tracer().remove_listener(_on_tracer_span)
     get_tracer().reset()
+    # Likewise the inherited registry: the worker's counter dump must
+    # hold only its own work, or the collector would count the parent's
+    # counters once per worker.
+    reset_global_registry()
     context = start(
         dir_, run_id=run, parent_span_id=os.environ.get(ENV_PARENT),
         role="worker",
     )
-    import atexit
+    # Pool workers leave through os._exit, which skips atexit hooks;
+    # multiprocessing's own exit finalizers do run when the pool is
+    # closed and joined (not when it is terminated).
+    from multiprocessing import util
 
-    atexit.register(stop)
+    util.Finalize(None, stop, exitpriority=10)
     return context
-
-
-def task_span(name: str, **attrs):
-    """Span written straight to the sink — no-op while telemetry is off.
-
-    The hot-path variant of :func:`repro.obs.span` for worker-side
-    instrumentation: events go to the JSONL stream only, never into the
-    tracer's in-memory span list (and therefore never into run
-    artifacts), so per-supernode / per-case volume is bounded by disk,
-    not memory.
-    """
-    if _STATE.sink is None:
-        return _NULL_TASK_SPAN
-    return _TaskSpan(name, attrs)
 
 
 # -- collector ----------------------------------------------------------------
@@ -430,7 +378,6 @@ class ProcessStream:
     gauges: dict[str, float] = field(default_factory=dict)
     logs: list[dict] = field(default_factory=list)
     heartbeats: list[dict] = field(default_factory=list)
-    attributions: list[dict] = field(default_factory=list)
 
     @property
     def label(self) -> str:
@@ -504,41 +451,6 @@ class Timeline:
                 merged[name] = value
         return merged
 
-    def attributions(self) -> list[dict]:
-        """Every attribution view emitted in this run, tagged with the
-        emitting process's pid/role, main process first."""
-        out = []
-        for stream in self.streams:
-            for attr in stream.attributions:
-                out.append({"pid": stream.pid, "role": stream.role,
-                            **attr})
-        return out
-
-    def merged_numeric_attribution(self) -> dict | None:
-        """Cross-process merge of the numeric-engine attribution views.
-
-        Worker processes (``solve --procs`` load generators) publish
-        their per-process view through the sink
-        rather than clobbering the parent's module global; this folds
-        them back together: seconds/busy-seconds/task totals summed,
-        per-process views kept for drill-down.  ``None`` when no process
-        emitted one.
-        """
-        views = self.attributions()
-        if not views:
-            return None
-        merged = {
-            "processes": views,
-            "n_processes": len({v["pid"] for v in views}),
-            "seconds": sum(v.get("seconds", 0.0) for v in views),
-            "busy_seconds": sum(v.get("busy_seconds", 0.0)
-                                for v in views),
-            "parallel_tasks": int(sum(v.get("parallel_tasks", 0)
-                                      for v in views)),
-            "factorizations": len(views),
-        }
-        return merged
-
     def logs(self) -> list[dict]:
         out = []
         for stream in self.streams:
@@ -569,21 +481,11 @@ class Timeline:
 
 def latency_percentiles(durations_by_name: dict[str, list[float]]
                         ) -> dict[str, dict[str, float]]:
-    """Per-phase wall-clock latency summary in milliseconds."""
-    out: dict[str, dict[str, float]] = {}
-    for name, durations in sorted(durations_by_name.items()):
-        if not durations:
-            continue
-        ms = np.asarray(durations) * 1e3
-        out[name] = {
-            "count": int(ms.size),
-            "mean_ms": float(ms.mean()),
-            "p50_ms": float(np.percentile(ms, 50)),
-            "p95_ms": float(np.percentile(ms, 95)),
-            "p99_ms": float(np.percentile(ms, 99)),
-            "max_ms": float(ms.max()),
-        }
-    return out
+    """Per-phase :func:`~repro.obs.live.percentile_summary` of wall-clock
+    durations in seconds (phases without samples are left out)."""
+    return {name: percentile_summary(durations)
+            for name, durations in sorted(durations_by_name.items())
+            if durations}
 
 
 def export_latency_metrics(summary: dict[str, dict[str, float]],
@@ -662,8 +564,6 @@ def collect(telemetry_dir: str | Path,
                     stream.logs.append(event)
                 elif kind == "hb":
                     stream.heartbeats.append(event)
-                elif kind == "attr":
-                    stream.attributions.append(event.get("attr", {}))
         if stream is not None:
             timeline.streams.append(stream)
     if not timeline.streams:

@@ -91,9 +91,10 @@ _EMPTY_WINDOW = RollingWindow(1)
 class LatencyRecorder:
     """Thread-safe, *bounded* per-phase wall-clock latency samples.
 
-    ``summary()`` reuses the telemetry percentile schema
-    (count/mean/p50/p95/p99/max in milliseconds) so server stats, bench
-    artifacts, and ``repro telemetry`` reports all read the same way;
+    ``summary()`` is :func:`repro.obs.live.percentile_summary` per phase
+    (count/mean/p50/p95/p99/max in milliseconds), the same summary
+    telemetry timelines report, so server stats, bench artifacts, and
+    ``repro telemetry`` reports all read the same way;
     ``window_summary()`` is the live windowed counterpart.  See the
     module docstring for the cumulative-vs-windowed contract.
     """
@@ -128,17 +129,6 @@ class LatencyRecorder:
         with self._lock:
             return sorted(self._phases)
 
-    @staticmethod
-    def _as_ms(snap: dict) -> dict[str, float]:
-        return {
-            "count": snap["count"],
-            "mean_ms": snap["mean"] * 1e3,
-            "p50_ms": snap["p50"] * 1e3,
-            "p95_ms": snap["p95"] * 1e3,
-            "p99_ms": snap["p99"] * 1e3,
-            "max_ms": snap["max"] * 1e3,
-        }
-
     def summary(self) -> dict[str, dict[str, float]]:
         """Cumulative per-phase percentiles (ms) over retained samples.
 
@@ -152,8 +142,9 @@ class LatencyRecorder:
         for name, win in sorted(phases.items()):
             if win.count() == 0:
                 continue
-            stats = self._as_ms(win.snapshot(window_s=None))
-            stats["count"] = win.count()
+            stats = win.snapshot(window_s=None)
+            stats["count"] = stats.pop("total_count")
+            del stats["rate_per_s"]
             out[name] = stats
         return out
 
@@ -175,9 +166,8 @@ class LatencyRecorder:
             phases.setdefault(name, _EMPTY_WINDOW)
         out = {}
         for name, win in sorted(phases.items()):
-            snap = win.snapshot(window_s=window_s, now=now)
-            stats = self._as_ms(snap)
-            stats["rate_per_s"] = snap["rate_per_s"]
+            stats = win.snapshot(window_s=window_s, now=now)
+            del stats["total_count"]
             out[name] = stats
         return out
 

@@ -55,10 +55,9 @@ import numpy as np
 
 from repro.numeric.cache import analysis_cache, pattern_digest
 from repro.numeric.solver import SparseSolver, require_finite
-from repro.obs import telemetry
 from repro.obs.live import ExemplarRing
 from repro.obs.metrics import global_registry
-from repro.obs.spans import Span
+from repro.obs.spans import get_tracer
 from repro.serve import protocol
 from repro.serve.metrics import (
     DEFAULT_RING,
@@ -326,9 +325,10 @@ class PatternWorker(threading.Thread):
             panel = (batch[0].b if len(batch) == 1
                      else np.concatenate([t.b for t in batch], axis=1))
             k = panel.shape[1]
-            with telemetry.task_span("serve.batch", pattern=self.pattern,
-                                     k=k, requests=len(batch),
-                                     riders=riders):
+            with get_tracer().task_span("serve.batch",
+                                        pattern=self.pattern, k=k,
+                                        requests=len(batch),
+                                        riders=riders):
                 x = self._solve_panel(panel)
         except Exception as exc:
             # A failed coalesced solve must fail *every* rider: a batch
@@ -474,8 +474,9 @@ class SolveServer:
     def note_response(self, ticket: _Ticket, pattern: str,
                       batch_k: int = 1, width: int = 1) -> None:
         """Record one completed request: phase latencies, the slow-
-        request exemplar ring, and (when telemetry is on) per-request
-        span events carrying the request id."""
+        request exemplar ring, and (when a tracer listener such as the
+        telemetry sink is attached) per-request spans carrying the
+        request id."""
         now = time.perf_counter()
         total_s = now - ticket.t_submit
         phases = ticket.phases_ms(now)
@@ -495,19 +496,17 @@ class SolveServer:
             "phases_ms": phases,
             "wall": time.time(),
         })
-        sink = telemetry.current_sink()
-        if sink is not None:
+        tracer = get_tracer()
+        if tracer.listening:
             attrs = {"request_id": ticket.request_id, "op": ticket.op,
                      "pattern": pattern, "batch_k": batch_k}
-            sink.span(Span(name="serve.request",
-                           start_s=ticket.t_submit,
-                           duration_s=total_s), attrs=attrs)
+            tracer.record_span("serve.request", ticket.t_submit, total_s,
+                               **attrs)
             cursor = ticket.t_submit
             for phase in ("queue_wait", "coalesce_wait", "solve"):
                 dur = phases[phase] / 1e3
-                sink.span(Span(name=f"serve.request.{phase}",
-                               start_s=cursor, duration_s=dur,
-                               depth=1), attrs=attrs)
+                tracer.record_span(f"serve.request.{phase}", cursor, dur,
+                                   depth=1, **attrs)
                 cursor += dur
 
     # -- pattern table ------------------------------------------------------

@@ -16,9 +16,9 @@ With ``jobs > 1`` the (independent) cases fan out across a
 ``multiprocessing`` pool.  Each worker joins the active telemetry run
 through the env/initializer handshake
 (:func:`repro.obs.telemetry.init_worker`), emits one ``verify.case``
-span per case into its own JSONL sink, and dumps its ``verify.*``
-counters at exit — so a collected timeline shows true per-process
-worker lanes.  Results are consumed in submission order
+span per case into its own JSONL sink, and dumps its counters when the
+pool is closed and joined — so a collected timeline shows true
+per-process worker lanes.  Results are consumed in submission order
 (``imap``), keeping the summary deterministic for a fixed case count.
 """
 
@@ -33,6 +33,7 @@ from pathlib import Path
 from repro.obs import telemetry
 from repro.obs.artifact import RunArtifact
 from repro.obs.metrics import global_registry
+from repro.obs.spans import task_span
 from repro.verify.differential import CaseResult, SweepAxes, run_case
 from repro.verify.generators import case_stream
 from repro.verify.shrink import Repro, failure_predicate, shrink_matrix
@@ -168,8 +169,8 @@ def _run_case_job(payload: tuple) -> CaseResult:
     worker's own JSONL sink (no-op when the run has no telemetry).
     """
     case, axes = payload
-    with telemetry.task_span("verify.case", case=case.name,
-                             family=case.family, n=case.matrix.n_rows):
+    with task_span("verify.case", case=case.name, family=case.family,
+                   n=case.matrix.n_rows):
         return run_case(case, axes=axes)
 
 
@@ -206,8 +207,10 @@ def run_verification(config: VerifyConfig | None = None) -> VerifySummary:
                 drained = True
         finally:
             if drained:
-                # Clean shutdown: workers run their atexit hooks, which
-                # dump per-worker counters into the telemetry stream.
+                # Clean shutdown: close() + join() lets each worker run
+                # its multiprocessing exit finalizers, among them
+                # telemetry.stop, which dumps the worker's counters into
+                # its telemetry stream.
                 pool.close()
             else:
                 # Budget break (or error): the input generator is still

@@ -11,9 +11,29 @@ from repro.obs.live import (
     ExemplarRing,
     RollingWindow,
     flatten_stats,
+    percentile_summary,
     prometheus_text,
     sparkline,
 )
+
+
+class TestPercentileSummary:
+    def test_schema_in_milliseconds(self):
+        seconds = [0.001 * (i + 1) for i in range(100)]
+        out = percentile_summary(seconds)
+        assert list(out) == ["count", "mean_ms", "p50_ms", "p95_ms",
+                             "p99_ms", "max_ms"]
+        ms = np.asarray(seconds) * 1e3
+        assert out["count"] == 100
+        assert out["mean_ms"] == pytest.approx(ms.mean())
+        for q in (50, 95, 99):
+            assert out[f"p{q}_ms"] == pytest.approx(np.percentile(ms, q))
+        assert out["max_ms"] == pytest.approx(100.0)
+
+    def test_empty_is_zeroed(self):
+        out = percentile_summary([])
+        assert out["count"] == 0
+        assert all(v == 0.0 for v in out.values())
 
 
 class TestRollingWindow:
@@ -22,7 +42,7 @@ class TestRollingWindow:
         snap = w.snapshot(window_s=60.0, now=100.0)
         assert snap["count"] == 0
         assert snap["rate_per_s"] == 0.0
-        for stat in ("mean", "p50", "p95", "p99", "max"):
+        for stat in ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms"):
             assert snap[stat] == 0.0
             assert not np.isnan(snap[stat])
 
@@ -34,10 +54,12 @@ class TestRollingWindow:
         assert w.count() == 100
         assert w.retained() == 100
         snap = w.snapshot(window_s=1e9, now=100.0)
+        # Samples are seconds; the summary reports milliseconds.
         assert snap["count"] == 100
-        assert snap["mean"] == pytest.approx(np.mean(values))
-        assert snap["p50"] == pytest.approx(np.percentile(values, 50))
-        assert snap["max"] == 99.0
+        assert snap["mean_ms"] == pytest.approx(1e3 * np.mean(values))
+        assert snap["p50_ms"] == pytest.approx(
+            1e3 * np.percentile(values, 50))
+        assert snap["max_ms"] == 99e3
 
     def test_wrap_around_keeps_newest_and_lifetime_count(self):
         w = RollingWindow(capacity=16)

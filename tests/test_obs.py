@@ -57,7 +57,10 @@ class TestMetricsRegistry:
         assert h.count == 4
         assert h.min == 1 and h.max == 100
         assert h.mean == pytest.approx(106 / 4)
-        assert h.quantile(0.0) <= h.quantile(1.0)
+        # log2 buckets: 1 -> 1, 2 and 3 -> 2, 100 -> 7; no quantiles
+        summary = h.as_value()
+        assert summary["buckets"] == {"1": 1, "2": 2, "7": 1}
+        assert "p50" not in summary and "p99" not in summary
 
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry()

@@ -3,7 +3,7 @@
 Covers level-set edge cases (empty forest, chains, stars, multi-root
 forests), bit-identity of the DAG dispatcher against the serial loop
 across the verify fuzz-suite generator families at several worker
-counts, DAG dependence ordering and error handling, process-safe
+counts, DAG dependence ordering and error handling, per-process
 attribution, and the ``numeric.sched.*`` metrics surface.
 """
 
@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from repro.numeric import SparseSolver, multifrontal_cholesky
-from repro.numeric.engine import last_factor_attribution
+from repro.numeric.engine import (
+    last_factor_attribution,
+    merge_factor_attributions,
+)
 from repro.numeric.schedule import run_dag
-from repro.obs import telemetry
 from repro.obs.metrics import global_registry
 from repro.symbolic.analyze import symbolic_factorize
 from repro.symbolic.etree import etree_level_sets
@@ -185,33 +187,51 @@ def test_dag_failure_propagates_promptly():
     assert elapsed < 1.2, f"failure took {elapsed:.2f}s to surface"
 
 
-# -- process-safe attribution (satellite: _last_attribution) -------------------
+# -- process attribution -------------------------------------------------------
 
 
-def test_worker_role_never_writes_attribution_global(
-        tmp_path, spd_small, monkeypatch):
-    """Worker-role processes publish attribution through the telemetry
-    sink only; the module-global last-factorization view stays untouched
-    and the collector merges the sink views back together."""
-    import repro.numeric.engine as engine
+def test_procs_workers_return_attribution_views(tmp_path, capsys):
+    """``solve --procs`` workers hand every factorization's attribution
+    view back in their results; the parent merges them into the
+    artifact, with or without a telemetry run."""
+    import json
 
-    monkeypatch.setattr(engine, "_last_attribution", None)
-    telemetry.start(tmp_path, role="worker", heartbeat_s=None)
-    symbolic = symbolic_factorize(spd_small)
-    multifrontal_cholesky(spd_small, symbolic, workers=2)
-    assert last_factor_attribution() is None
-    telemetry.stop(dump_registry=False)
+    from repro.cli import main
 
-    timeline = telemetry.collect(tmp_path)
-    views = timeline.attributions()
-    assert len(views) == 1
-    assert views[0]["role"] == "worker"
-    assert views[0]["schedule"]["workers"] == 2
-    merged = timeline.merged_numeric_attribution()
-    assert merged is not None
-    assert merged["n_processes"] == 1
-    assert merged["factorizations"] == 1
+    art = tmp_path / "run.json"
+    assert main(["solve", "suite:bmwcra_1@0.3", "--procs", "2",
+                 "--repeat", "2", "--metrics", str(art)]) == 0
+    capsys.readouterr()
+    attribution = json.loads(art.read_text())["attribution"]
+    assert "numeric" not in attribution      # the parent factored nothing
+    merged = attribution["numeric_processes"]
+    assert merged["n_processes"] == 2
+    # one cold factorization + --repeat refactorizations per worker
+    assert merged["factorizations"] == 2 * 3
+    views = merged["processes"]
+    assert {v["role"] for v in views} == {"worker"}
+    assert len({v["pid"] for v in views}) == 2
+    assert merged["seconds"] == pytest.approx(
+        sum(v["seconds"] for v in views))
     assert merged["seconds"] > 0.0
+
+
+def test_merge_factor_attributions_sums_views():
+    views = [
+        {"pid": 1, "role": "main", "seconds": 0.5, "busy_seconds": 0.25,
+         "parallel_tasks": 3},
+        {"pid": 1, "role": "main", "seconds": 0.25, "busy_seconds": 0.25,
+         "parallel_tasks": 1},
+        {"pid": 2, "role": "worker", "seconds": 1.0, "busy_seconds": 0.5,
+         "parallel_tasks": 0},
+    ]
+    merged = merge_factor_attributions(views)
+    assert merged["processes"] is views
+    assert merged["n_processes"] == 2
+    assert merged["factorizations"] == 3
+    assert merged["seconds"] == pytest.approx(1.75)
+    assert merged["busy_seconds"] == pytest.approx(1.0)
+    assert merged["parallel_tasks"] == 4
 
 
 def test_main_role_attribution_has_schedule_evidence(spd_medium):

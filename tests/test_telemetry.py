@@ -26,14 +26,13 @@ from repro.obs.profile import (
     SamplingProfiler,
     flamegraph_svg,
 )
-from repro.obs.spans import enable_tracing, span
+from repro.obs.spans import enable_tracing, get_tracer, span, task_span
 from repro.obs.telemetry import (
     RunContext,
     collect,
     export_latency_metrics,
     latency_percentiles,
     list_runs,
-    task_span,
     timeline_chrome_trace,
 )
 
@@ -91,11 +90,24 @@ class TestSink:
         telemetry.stop()
 
     def test_task_span_is_noop_when_off(self):
+        assert not get_tracer().listening
         cm1 = task_span("anything", x=1)
         cm2 = task_span("other")
         assert cm1 is cm2            # the shared null context manager
         with cm1:
             pass
+        # Listener-only: never kept in the tracer's in-memory list.
+        tracer = enable_tracing()
+        seen = []
+        tracer.add_listener(seen.append)
+        try:
+            with task_span("unit.task", item=1):
+                pass
+        finally:
+            tracer.remove_listener(seen.append)
+        assert [(s.name, s.attrs) for s in seen] == [
+            ("unit.task", {"item": 1})]
+        assert tracer.spans == []
 
     def test_heartbeats_and_registry_dump(self, tmp_path):
         telemetry.start(tmp_path, run_id="run-t4", heartbeat_s=0.02)
@@ -135,6 +147,11 @@ def _mp_worker_job(i: int) -> int:
     return os.getpid()
 
 
+def _mp_count_job(i: int) -> int:
+    global_registry().counter("mp.jobs").inc()
+    return i
+
+
 class TestMultiprocessing:
     def test_workers_join_run_and_emit_spans(self, tmp_path):
         telemetry.start(tmp_path, run_id="run-mp", parent_span_id="test",
@@ -156,6 +173,30 @@ class TestMultiprocessing:
         assert all(s["run"] == "run-mp" for s in worker_spans)
         assert all(s.parent_span_id == "test"
                    for s in timeline.streams if s.role == "worker")
+
+    def test_pool_worker_counters_reach_the_timeline(self, tmp_path):
+        """Pool workers exit through os._exit, so their counter dump
+        must come from a multiprocessing finalizer, not atexit; and a
+        forked worker's dump holds only its own work."""
+        telemetry.start(tmp_path, run_id="run-mpc", heartbeat_s=None)
+        global_registry().counter("mp.jobs").inc()      # the parent's
+        # close() + join(), not `with Pool(...)`: leaving the block
+        # terminates the workers before their exit finalizers run.
+        pool = multiprocessing.Pool(2, initializer=telemetry.init_worker)
+        try:
+            assert pool.map(_mp_count_job, range(6)) == list(range(6))
+            pool.close()
+        except Exception:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
+        telemetry.stop()
+        timeline = collect(tmp_path, run_id="run-mpc")
+        workers = [s for s in timeline.streams if s.role == "worker"]
+        assert workers
+        assert sum(s.counters.get("mp.jobs", 0.0) for s in workers) == 6.0
+        assert timeline.merged_counters()["mp.jobs"] == 7.0
 
     def test_init_worker_without_env_is_noop(self):
         assert telemetry.init_worker() is None
@@ -412,11 +453,11 @@ def _busy(seconds: float) -> float:
 
 class TestProfiler:
     def test_cprofile_mode_captures_top_functions(self):
-        prof = Profiler(mode="cprofile")
+        prof = Profiler()
         prof.start()
         _busy(0.05)
         result = prof.stop()
-        assert result.mode == "cprofile"
+        assert result.mode == "both"
         assert result.seconds >= 0.05
         assert result.top
         assert "_busy" in result.render_top(limit=30)
@@ -424,7 +465,7 @@ class TestProfiler:
     def test_sampling_profiler_folds_stacks(self):
         if not SamplingProfiler.available():
             pytest.skip("sampling profiler needs Unix + main thread")
-        prof = Profiler(mode="sample", interval=0.001)
+        prof = Profiler(interval=0.001)
         prof.start()
         _busy(0.2)
         result = prof.stop()
@@ -433,14 +474,10 @@ class TestProfiler:
         assert any("_busy" in stack for stack in result.folded)
 
     def test_stop_is_idempotent(self):
-        prof = Profiler(mode="cprofile")
+        prof = Profiler()
         prof.start()
         first = prof.stop()
         assert prof.stop() is first
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Profiler(mode="magic")
 
     def test_result_dict_roundtrip(self):
         result = ProfileResult(mode="both", seconds=1.0,
@@ -577,15 +614,13 @@ class TestCLITelemetry:
     def test_profile_flag_writes_reports(self, tmp_path, capsys):
         tel = tmp_path / "telemetry"
         assert main(["solve", "suite:bmwcra_1@0.3", "--profile",
-                     "--profile-mode", "cprofile",
                      "--telemetry-dir", str(tel)]) == 0
         out = capsys.readouterr().out
         assert "profile: " in out
         assert list(tel.glob("*.profile.txt"))
 
     def test_profile_without_telemetry_prints_table(self, capsys):
-        assert main(["solve", "suite:bmwcra_1@0.3", "--profile",
-                     "--profile-mode", "cprofile"]) == 0
+        assert main(["solve", "suite:bmwcra_1@0.3", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "cumtime" in out
 
